@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .covering import (
     difference_cover_ceiling,
     known_certificate,
 )
-from .families import Family, dumps_family, family_digest, load_family, save_family
+from .families import Family, dumps_family, family_digest, load_family
 from .geometry import ConvexBody, GeometryError, minkowski_sum, reflect
 from .graph_core import (
-    IntersectionGraph,
+    SolveResult,
     SolverCaps,
     build_graph,
     chromatic_number,
@@ -48,8 +49,8 @@ from .homothet_coloring import (
     color_translates_symmetrized,
     symmetrized_certificate,
 )
-from .reports import InequalityCheck, RunReport, canonical_json
-from .translate_coloring import clique_partition_translates, color_translates
+from .reports import ColoringReport, InequalityCheck, PartitionReport, RunReport, canonical_json
+from .translate_coloring import TranslatePipeline, translate_pipeline
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -93,30 +94,13 @@ def _named_body(name: str, sides: str | None = None) -> ConvexBody:
     raise ValueError(f"unknown body {name!r} (square, disk, triangle, box)")
 
 
-def _difference_certificate(body: ConvexBody, samples: int) -> CoveringCertificate:
-    """kappa(C-C, C) certificate: known for boxes/disk, constructed otherwise."""
-    cert = known_certificate(body, samples=samples)
-    if cert is not None:
-        return cert
-    target = minkowski_sum(body, reflect(body))
-    return cover_by_translates(target, body, samples=samples)
-
-
-def _write_report(report: RunReport, out_path: str | None) -> None:
-    text = canonical_json(report.to_json())
+def _emit(text: str, out_path: str | None) -> None:
+    """Write a command's output to --out, or to stdout without it."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _exit_code(checks: list[InequalityCheck], capped: bool) -> int:
-    if any(not c.passed for c in checks):
-        return EXIT_VIOLATION
-    if capped:
-        return EXIT_CAPPED
-    return EXIT_OK
 
 
 def _check(name: str, lhs: float, rhs: float) -> InequalityCheck:
@@ -125,6 +109,10 @@ def _check(name: str, lhs: float, rhs: float) -> InequalityCheck:
 
 def _flag(name: str, ok: bool) -> InequalityCheck:
     return InequalityCheck(name=name, lhs=0.0 if ok else 1.0, rhs=0.0, passed=bool(ok))
+
+
+def _exact(res: SolveResult) -> int | None:
+    return None if res.capped else res.value
 
 
 def cmd_generate(args) -> int:
@@ -144,153 +132,153 @@ def cmd_generate(args) -> int:
         )
     else:
         raise ValueError(f"unknown construction {args.construction!r}")
-    if args.out:
-        save_family(family, args.out)
-    else:
-        sys.stdout.write(dumps_family(family))
+    _emit(dumps_family(family), args.out)
     print(f"generated {len(family)} members ({args.construction})", file=sys.stderr)
     return EXIT_OK
 
 
-def _color_once(family: Family, g: IntersectionGraph, method: str, seed: int,
-                caps: SolverCaps, samples: int):
-    """Run one coloring method; returns (report, checks, capped, oracles)."""
-    omega_res = max_clique(g, cap=caps.omega)
-    capped = omega_res.capped
-    omega = None if capped else omega_res.value
-    checks: list[InequalityCheck] = []
-    if method == "translates":
-        if not family.is_translate_family:
-            raise GeometryError("the translates method needs a uniform-scale family")
-        rep = color_translates(family, seed=seed)
-        bound = None if omega is None else rep.params["t_bound"] * omega
-    elif method == "symmetrized":
-        if not family.is_translate_family:
-            raise GeometryError("the symmetrized method needs a uniform-scale family")
-        cert = symmetrized_certificate(family.body)
-        rep = color_translates_symmetrized(family, seed=seed, cert=cert, omega=omega)
-        bound = rep.bound_value if omega is not None else None
-    elif method == "homothets":
-        cert = _difference_certificate(family.body, samples)
-        rep = color_homothets(family, cert, omega=omega, graph=g)
-        bound = rep.bound_value if omega is not None else None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    checks.append(_flag(f"coloring[{method}]_proper", verify_coloring(g, list(rep.colors))))
-    if bound is not None and len(family) > 0:
-        checks.append(_check(f"colors[{method}]<=bound", rep.colors_used, bound))
-        checks.append(_check(f"omega<=colors[{method}]", omega, rep.colors_used))
-    oracles = {"omega": omega, "omega_capped": capped}
-    if rep.kappa_ub is not None:
-        oracles["kappa_ub"] = rep.kappa_ub
-        oracles["kappa_ceiling_ref"] = difference_cover_ceiling(family.body.dimension)
-    return rep, checks, capped, oracles
+class _Run:
+    """What one color, partition or verify command derives from its input.
+
+    The family, its digest and its graph are built on construction; the
+    oracles, the certificates and the translate pipeline are computed on
+    first use and kept, so every consumer in the command shares one copy.
+    """
+
+    def __init__(self, args):
+        self.caps = _resolve_caps(args.caps)
+        self.family = load_family(args.input)
+        self.digest = family_digest(self.family)
+        self.graph = build_graph(self.family, family_ref=self.digest)
+        self.seed = args.seed
+        self.samples = args.samples
+        self.out = args.out
+        self.start = time.perf_counter()
+
+    @cached_property
+    def omega(self) -> SolveResult:
+        return max_clique(self.graph, cap=self.caps.omega)
+
+    @cached_property
+    def nu(self) -> SolveResult:
+        return max_independent_set(self.graph, cap=self.caps.omega)
+
+    def _require_translates(self, method: str) -> None:
+        if not self.family.is_translate_family:
+            raise GeometryError(f"the {method} method needs a uniform-scale family")
+
+    @cached_property
+    def translates(self) -> TranslatePipeline:
+        self._require_translates("translates")
+        return translate_pipeline(self.family, seed=self.seed)
+
+    @cached_property
+    def symmetrized_cert(self) -> CoveringCertificate:
+        self._require_translates("symmetrized")
+        return symmetrized_certificate(self.family.body, samples=self.samples)
+
+    @cached_property
+    def difference_cert(self) -> CoveringCertificate:
+        """kappa(C-C, C) certificate: known for boxes/disk, constructed otherwise."""
+        body = self.family.body
+        cert = known_certificate(body, samples=self.samples)
+        if cert is None:
+            target = minkowski_sum(body, reflect(body))
+            cert = cover_by_translates(target, body, samples=self.samples)
+        return cert
+
+    def coloring(self, method: str) -> tuple[ColoringReport, list[InequalityCheck]]:
+        """One method's coloring and its checks against omega."""
+        omega = _exact(self.omega)
+        if method == "translates":
+            rep = self.translates.coloring()
+        elif method == "symmetrized":
+            rep = color_translates_symmetrized(self.family, seed=self.seed, omega=omega,
+                                               cert=self.symmetrized_cert, graph=self.graph)
+        else:
+            rep = color_homothets(self.family, self.difference_cert, omega=omega,
+                                  graph=self.graph)
+        checks = [_flag(f"coloring[{method}]_proper", verify_coloring(self.graph, list(rep.colors)))]
+        if omega is not None and len(self.family) > 0:
+            bound = rep.params["t_bound"] * omega if method == "translates" else rep.bound_value
+            checks.append(_check(f"colors[{method}]<=bound", rep.colors_used, bound))
+            checks.append(_check(f"omega<=colors[{method}]", omega, rep.colors_used))
+        return rep, checks
+
+    def partition(self, method: str) -> tuple[PartitionReport, list[InequalityCheck]]:
+        """One method's clique partition and its checks against nu."""
+        nu = _exact(self.nu)
+        if method == "translates":
+            rep = self.translates.partition()
+        elif method == "symmetrized":
+            cert = self.symmetrized_cert
+            k_family = Family(body=cert.unit, placements=self.family.placements,
+                              meta=dict(self.family.meta))
+            rep = clique_partition_homothets(k_family, cert, nu=nu, graph=self.graph)
+        else:
+            rep = clique_partition_homothets(self.family, self.difference_cert, nu=nu,
+                                             graph=self.graph)
+        checks = [_flag(f"partition[{method}]_cliques",
+                        verify_clique_partition(self.graph, list(rep.classes_assign)))]
+        if nu is not None and len(self.family) > 0:
+            bound = rep.params["t_bound"] * nu if method == "translates" else rep.bound_value
+            checks.append(_check(f"classes[{method}]<=bound", rep.classes_used, bound))
+            checks.append(_check(f"nu<=classes[{method}]", nu, rep.classes_used))
+        return rep, checks
+
+    def finish(self, command: str, outputs: dict, oracles: dict,
+               checks: list[InequalityCheck], capped: bool) -> int:
+        """Write the command's report and return its exit code."""
+        wall = (time.perf_counter() - self.start) * 1000
+        report = RunReport(
+            command=command, input_digest=self.digest, seed=self.seed, outputs=outputs,
+            oracles=oracles, checks=tuple(checks), capped=capped, wall_time_ms=wall,
+        )
+        _emit(canonical_json(report.to_json()), self.out)
+        failed = [c.name for c in checks if not c.passed]
+        status = "FAIL " + ",".join(failed) if failed else ("CAPPED" if capped else "PASS")
+        print(f"{command}: {status} ({len(checks)} checks, wall {wall:.1f} ms)", file=sys.stderr)
+        if failed:
+            return EXIT_VIOLATION
+        return EXIT_CAPPED if capped else EXIT_OK
+
+
+def _kappa_oracles(run: _Run, rep) -> dict:
+    if rep.kappa_ub is None:
+        return {}
+    return {"kappa_ub": rep.kappa_ub,
+            "kappa_ceiling_ref": difference_cover_ceiling(run.family.body.dimension)}
 
 
 def cmd_color(args) -> int:
-    caps = _resolve_caps(args.caps)
-    family = load_family(args.input)
-    g = build_graph(family, family_ref=family_digest(family))
-    t0 = time.perf_counter()
-    rep, checks, capped, oracles = _color_once(
-        family, g, args.method, args.seed, caps, args.samples
-    )
-    wall = (time.perf_counter() - t0) * 1000
-    report = RunReport(
-        command=f"color --method {args.method}",
-        input_digest=family_digest(family),
-        seed=args.seed,
-        outputs={"coloring": rep.to_json()},
-        oracles=oracles,
-        checks=tuple(checks),
-        capped=capped,
-        wall_time_ms=wall,
-    )
-    _write_report(report, args.out)
-    print(f"colors used: {rep.colors_used} (wall {wall:.1f} ms)", file=sys.stderr)
-    return _exit_code(checks, capped)
-
-
-def _partition_once(family: Family, g: IntersectionGraph, method: str, seed: int,
-                    caps: SolverCaps, samples: int):
-    nu_res = max_independent_set(g, cap=caps.omega)
-    capped = nu_res.capped
-    nu = None if capped else nu_res.value
-    checks: list[InequalityCheck] = []
-    if method == "translates":
-        if not family.is_translate_family:
-            raise GeometryError("the translates method needs a uniform-scale family")
-        rep = clique_partition_translates(family, seed=seed)
-        bound = None if nu is None else rep.params["t_bound"] * nu
-    elif method == "symmetrized":
-        if not family.is_translate_family:
-            raise GeometryError("the symmetrized method needs a uniform-scale family")
-        cert = symmetrized_certificate(family.body)
-        k_family = Family(body=cert.unit, placements=family.placements, meta=dict(family.meta))
-        rep = clique_partition_homothets(k_family, cert, nu=nu, graph=g)
-        bound = rep.bound_value if nu is not None else None
-    elif method == "homothets":
-        cert = _difference_certificate(family.body, samples)
-        rep = clique_partition_homothets(family, cert, nu=nu, graph=g)
-        bound = rep.bound_value if nu is not None else None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    checks.append(_flag(
-        f"partition[{method}]_cliques", verify_clique_partition(g, list(rep.classes_assign))
-    ))
-    if bound is not None and len(family) > 0:
-        checks.append(_check(f"classes[{method}]<=bound", rep.classes_used, bound))
-        checks.append(_check(f"nu<=classes[{method}]", nu, rep.classes_used))
-    oracles = {"nu": nu, "nu_capped": capped}
-    if rep.kappa_ub is not None:
-        oracles["kappa_ub"] = rep.kappa_ub
-        oracles["kappa_ceiling_ref"] = difference_cover_ceiling(family.body.dimension)
-    return rep, checks, capped, oracles
+    run = _Run(args)
+    rep, checks = run.coloring(args.method)
+    oracles = {"omega": _exact(run.omega), "omega_capped": run.omega.capped,
+               **_kappa_oracles(run, rep)}
+    return run.finish(f"color --method {args.method}", {"coloring": rep.to_json()},
+                      oracles, checks, run.omega.capped)
 
 
 def cmd_partition(args) -> int:
-    caps = _resolve_caps(args.caps)
-    family = load_family(args.input)
-    g = build_graph(family, family_ref=family_digest(family))
-    t0 = time.perf_counter()
-    rep, checks, capped, oracles = _partition_once(
-        family, g, args.method, args.seed, caps, args.samples
-    )
-    wall = (time.perf_counter() - t0) * 1000
-    report = RunReport(
-        command=f"partition --method {args.method}",
-        input_digest=family_digest(family),
-        seed=args.seed,
-        outputs={"partition": rep.to_json()},
-        oracles=oracles,
-        checks=tuple(checks),
-        capped=capped,
-        wall_time_ms=wall,
-    )
-    _write_report(report, args.out)
-    print(f"classes used: {rep.classes_used} (wall {wall:.1f} ms)", file=sys.stderr)
-    return _exit_code(checks, capped)
+    run = _Run(args)
+    rep, checks = run.partition(args.method)
+    oracles = {"nu": _exact(run.nu), "nu_capped": run.nu.capped, **_kappa_oracles(run, rep)}
+    return run.finish(f"partition --method {args.method}", {"partition": rep.to_json()},
+                      oracles, checks, run.nu.capped)
 
 
 def cmd_verify(args) -> int:
-    caps = _resolve_caps(args.caps)
-    family = load_family(args.input)
-    g = build_graph(family, family_ref=family_digest(family))
-    t0 = time.perf_counter()
+    run = _Run(args)
+    family, g = run.family, run.graph
+    chi_res = chromatic_number(g, cap=run.caps.chi)
+    theta_res = clique_cover_number(g, cap=run.caps.chi)
+    results = {"omega": run.omega, "nu": run.nu, "chi": chi_res, "theta": theta_res}
+    oracles: dict = {key: _exact(res) for key, res in results.items()}
+    capped = any(res.capped for res in results.values())
+    omega, nu, chi, theta = (oracles[key] for key in results)
+    oracles.update({"members": len(family), "edges": len(g.edges())})
+
     checks: list[InequalityCheck] = []
-    oracles: dict = {"members": len(family), "edges": len(g.edges())}
-
-    omega_res = max_clique(g, cap=caps.omega)
-    nu_res = max_independent_set(g, cap=caps.omega)
-    chi_res = chromatic_number(g, cap=caps.chi)
-    theta_res = clique_cover_number(g, cap=caps.chi)
-    capped = any(r.capped for r in (omega_res, nu_res, chi_res, theta_res))
-    omega = None if omega_res.capped else omega_res.value
-    nu = None if nu_res.capped else nu_res.value
-    chi = None if chi_res.capped else chi_res.value
-    theta = None if theta_res.capped else theta_res.value
-    oracles.update({"omega": omega, "nu": nu, "chi": chi, "theta": theta})
-
     if len(family) > 0:
         if omega is not None and chi is not None:
             checks.append(_check("omega<=chi", omega, chi))
@@ -298,20 +286,17 @@ def cmd_verify(args) -> int:
             checks.append(_check("nu<=theta", nu, theta))
 
     outputs: dict = {}
-    methods = (
-        ["translates", "symmetrized"] if family.is_translate_family and len(family) else
-        (["homothets"] if len(family) else [])
-    )
-    for method in methods:
-        crep, cchecks, _, _ = _color_once(family, g, method, args.seed, caps, args.samples)
+    methods = ["translates", "symmetrized"] if family.is_translate_family else ["homothets"]
+    for method in methods if len(family) else []:
+        crep, cchecks = run.coloring(method)
         outputs[f"coloring_{method}"] = crep.to_json()
         checks.extend(cchecks)
-        if chi is not None and len(family) > 0:
+        if chi is not None:
             checks.append(_check(f"chi<=colors[{method}]", chi, crep.colors_used))
-        prep, pchecks, _, _ = _partition_once(family, g, method, args.seed, caps, args.samples)
+        prep, pchecks = run.partition(method)
         outputs[f"partition_{method}"] = prep.to_json()
         checks.extend(pchecks)
-        if theta is not None and len(family) > 0:
+        if theta is not None:
             checks.append(_check(f"theta<=classes[{method}]", theta, prep.classes_used))
             if prep.piercing_points_used is not None:
                 checks.append(
@@ -331,23 +316,7 @@ def cmd_verify(args) -> int:
                         f"claim mismatch: {key} claimed {expected[key]}, computed {actual}",
                         file=sys.stderr,
                     )
-
-    wall = (time.perf_counter() - t0) * 1000
-    report = RunReport(
-        command="verify",
-        input_digest=family_digest(family),
-        seed=args.seed,
-        outputs=outputs,
-        oracles=oracles,
-        checks=tuple(checks),
-        capped=capped,
-        wall_time_ms=wall,
-    )
-    _write_report(report, args.out)
-    failed = [c.name for c in checks if not c.passed]
-    status = "FAIL " + ",".join(failed) if failed else ("CAPPED" if capped else "PASS")
-    print(f"verify: {status} ({len(checks)} checks, wall {wall:.1f} ms)", file=sys.stderr)
-    return _exit_code(checks, capped)
+    return run.finish("verify", outputs, oracles, checks, capped)
 
 
 _SVG_PALETTE = [
@@ -454,11 +423,7 @@ def cmd_export(args) -> int:
         text = family_svg(family, colors)
     else:
         raise ValueError(f"unknown format {args.format!r}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -59,12 +59,18 @@ class Family:
 
     @staticmethod
     def from_json(obj: dict) -> "Family":
-        body = ConvexBody.from_json(obj["body"])
-        placements = tuple(
-            Placement(center=tuple(p["center"]), scale=float(p.get("scale", 1.0)))
-            for p in obj["placements"]
-        )
-        return Family(body=body, placements=placements, meta=dict(obj.get("meta", {})))
+        """Parse a family; a missing field or a value of the wrong JSON type
+        raises GeometryError."""
+        try:
+            body = ConvexBody.from_json(obj["body"])
+            placements = tuple(
+                Placement(center=tuple(p["center"]), scale=float(p.get("scale", 1.0)))
+                for p in obj["placements"]
+            )
+            meta = dict(obj.get("meta", {}))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise GeometryError(f"malformed family JSON ({type(exc).__name__}: {exc})") from None
+        return Family(body=body, placements=placements, meta=meta)
 
 
 def translates(body: ConvexBody, centers: Sequence[Sequence[float]], meta: dict | None = None) -> Family:

@@ -43,7 +43,7 @@ class ConvexBody:
 
     @staticmethod
     def polygon(vertices: Sequence[Sequence[float]]) -> "ConvexBody":
-        """Validated CCW strictly-convex polygon (>= 3 vertices)."""
+        """Validated CCW strictly-convex polygon (>= 3 finite vertices)."""
         verts = tuple((float(x), float(y)) for x, y in vertices)
         _validate_polygon(verts)
         return ConvexBody(kind="polygon2d", vertices=verts)
@@ -55,8 +55,8 @@ class ConvexBody:
     @staticmethod
     def box(sides: Sequence[float]) -> "ConvexBody":
         s = tuple(float(v) for v in sides)
-        if len(s) < 1 or any(v <= 0 for v in s):
-            raise GeometryError(f"box sides must be positive, got {s}")
+        if len(s) < 1 or not all(0 < v < math.inf for v in s):
+            raise GeometryError(f"box sides must be positive and finite, got {s}")
         return ConvexBody(kind="box", sides=s)
 
     @staticmethod
@@ -96,9 +96,12 @@ class Placement:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise GeometryError(f"placement scale must be positive, got {self.scale}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not 0 < self.scale < math.inf:
+            raise GeometryError(f"placement scale must be positive and finite, got {self.scale}")
+        center = tuple(float(c) for c in self.center)
+        if not all(math.isfinite(c) for c in center):
+            raise GeometryError(f"placement center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,8 @@ class ParallelogramFit:
 def _validate_polygon(verts: tuple[tuple[float, float], ...]) -> None:
     if len(verts) < 3:
         raise GeometryError(f"polygon needs >= 3 vertices, got {len(verts)}")
+    if not all(math.isfinite(c) for v in verts for c in v):
+        raise GeometryError("polygon vertices must be finite")
     n = len(verts)
     for i in range(n):
         ax, ay = verts[i]

@@ -23,6 +23,11 @@ class CapExceeded(RuntimeError):
     """Raised only when a caller insists on an exact value above the cap."""
 
 
+class ConsistencyError(RuntimeError):
+    """A computed result broke a condition that holds by construction: a
+    program fault, never invalid input."""
+
+
 @dataclass(frozen=True)
 class SolverCaps:
     omega: int = DEFAULT_OMEGA_CAP
@@ -242,7 +247,7 @@ def chromatic_number(g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP) -> SolveR
         return SolveResult(value=0, witness=())
     if n > cap:
         greedy = greedy_coloring(g)
-        clique = max_clique(g, cap=n)
+        clique = max_clique(g, cap=cap)
         return SolveResult(
             value=None, witness=tuple(greedy), capped=True,
             lower=clique.value if not clique.capped else clique.lower,
@@ -293,7 +298,7 @@ def verify_clique_partition(g: IntersectionGraph, assignment) -> bool:
 
 @dataclass(frozen=True)
 class GraphInvariants:
-    """Exact omega/alpha/chi/theta with witnesses; asserts the obvious chains."""
+    """Exact omega/alpha/chi/theta with witnesses; checks the obvious chains."""
 
     omega: SolveResult
     alpha: SolveResult
@@ -301,10 +306,10 @@ class GraphInvariants:
     theta: SolveResult
 
     def __post_init__(self):
-        if not self.omega.capped and not self.chi.capped:
-            assert self.omega.value <= self.chi.value, "omega <= chi must hold"
-        if not self.alpha.capped and not self.theta.capped:
-            assert self.alpha.value <= self.theta.value, "alpha <= theta must hold"
+        if not self.omega.capped and not self.chi.capped and self.omega.value > self.chi.value:
+            raise ConsistencyError("omega <= chi must hold")
+        if not self.alpha.capped and not self.theta.capped and self.alpha.value > self.theta.value:
+            raise ConsistencyError("alpha <= theta must hold")
 
 
 def compute_invariants(g: IntersectionGraph, caps: SolverCaps = SolverCaps()) -> GraphInvariants:
@@ -316,13 +321,12 @@ def compute_invariants(g: IntersectionGraph, caps: SolverCaps = SolverCaps()) ->
     )
     if not inv.omega.capped:
         witness = inv.omega.witness
-        for a in range(len(witness)):
-            for b in range(a + 1, len(witness)):
-                assert g.adjacent(witness[a], witness[b]), "clique witness failed"
-    if not inv.chi.capped:
-        assert verify_coloring(g, list(inv.chi.witness)), "coloring witness failed"
-    if not inv.theta.capped:
-        assert verify_clique_partition(g, list(inv.theta.witness)), "cover witness failed"
+        if not all(g.adjacent(a, b) for k, a in enumerate(witness) for b in witness[k + 1:]):
+            raise ConsistencyError("clique witness failed")
+    if not inv.chi.capped and not verify_coloring(g, list(inv.chi.witness)):
+        raise ConsistencyError("coloring witness failed")
+    if not inv.theta.capped and not verify_clique_partition(g, list(inv.theta.witness)):
+        raise ConsistencyError("cover witness failed")
     return inv
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import CoveringCertificate, cover_by_translates, known_certificate
+from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
 from .families import Family
 from .geometry import ConvexBody, GeometryError, _edge_normals, _poly_array, scale_body, symmetrize
-from .graph_core import IntersectionGraph, build_graph
+from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
 PIERCE_TOL = 1e-9
@@ -210,7 +210,7 @@ def clique_partition_homothets(
 ) -> PartitionReport:
     """Greedy smallest-first clique partition via piercing rounds.
 
-    Round representatives are pairwise disjoint (asserted), so the round count
+    Round representatives are pairwise disjoint (checked), so the round count
     is a certified lower bound on nu.
     """
     g = graph if graph is not None else build_graph(family)
@@ -243,8 +243,8 @@ def clique_partition_homothets(
 
     for a in range(len(representatives)):
         for b in range(a + 1, len(representatives)):
-            assert not g.adjacent(representatives[a], representatives[b]), \
-                "greedy round representatives must be pairwise disjoint"
+            if g.adjacent(representatives[a], representatives[b]):
+                raise ConsistencyError("greedy round representatives must be pairwise disjoint")
 
     if nu is not None:
         bound = cert.kappa_ub * (nu - 1) + 1 if n else 0
@@ -268,28 +268,30 @@ def clique_partition_homothets(
     )
 
 
-def symmetrized_certificate(body: ConvexBody) -> CoveringCertificate:
-    """Certificate for kappa(2K, K) with K the central symmetrization of C."""
+def symmetrized_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> CoveringCertificate:
+    """Certificate for kappa(2K, K) with K the central symmetrization of C;
+    `samples` is the interior sample count of its verification."""
     k_body = symmetrize(body)
-    cert = known_certificate(k_body)
+    cert = known_certificate(k_body, samples=samples)
     if cert is None:
-        cert = cover_by_translates(scale_body(k_body, 2.0), k_body)
+        cert = cover_by_translates(scale_body(k_body, 2.0), k_body, samples=samples)
     return cert
 
 
 def color_translates_symmetrized(
     family: Family, seed: int = 0, cert: CoveringCertificate | None = None,
-    omega: int | None = None,
+    omega: int | None = None, graph: IntersectionGraph | None = None,
 ) -> ColoringReport:
     """Corollary-1 path: replace C by K = (C-C)/2 (which preserves the
-    intersection graph), fetch a kappa(2K, K) certificate, and run the
-    homothet first-fit coloring on the K-translates."""
+    intersection graph, so the family's own graph may be passed), fetch a
+    kappa(2K, K) certificate, and run the homothet first-fit coloring on the
+    K-translates."""
     if not family.is_translate_family:
         raise GeometryError("symmetrized coloring expects a translate family")
     if cert is None:
         cert = symmetrized_certificate(family.body)
     k_family = Family(body=cert.unit, placements=family.placements, meta=dict(family.meta))
-    report = color_homothets(k_family, cert, omega=omega)
+    report = color_homothets(k_family, cert, omega=omega, graph=graph)
     return ColoringReport(
         method="corollary1",
         colors=report.colors,

@@ -29,6 +29,7 @@ from .geometry import (
     homothets_intersect,
     inscribed_parallelogram,
 )
+from .graph_core import ConsistencyError
 from .reports import ClassSummary, ColoringReport, PartitionReport
 
 OFFSET_CLEARANCE = 1e-6
@@ -61,8 +62,8 @@ class BoundParams:
         m = math.ceil(r - 1e-9) + 1
         c = math.ceil(m / 2)
         params = BoundParams(n=n, r=r, M=m, c=c, t_bound=m ** (n - 1) * c)
-        assert params.M - 1 >= r - 1e-9, "line modulus must dominate the ratio"
-        assert 2 * params.c - 1 >= r - 1e-9, "cell modulus must dominate the ratio"
+        if params.M - 1 < r - 1e-9 or 2 * params.c - 1 < r - 1e-9:
+            raise ConsistencyError("line and cell moduli must dominate the ratio")
         return params
 
     def to_json(self) -> dict:
@@ -293,98 +294,105 @@ def antichain_partition(poset: PosetClass) -> list[list[int]]:
     return layers
 
 
-def _pipeline(family: Family, seed: int):
+@dataclass
+class TranslatePipeline:
+    """One run of the pipeline: the decomposition, each class's poset, and its
+    Dilworth chains and Mirsky layers, from which both reports are built."""
+
+    nf: NormalizedFamily
+    dec: Decomposition
+    posets: dict[tuple, PosetClass]
+    chains: dict[tuple, list[list[int]]]
+    layers: dict[tuple, list[list[int]]]
+    summaries: tuple[ClassSummary, ...]
+
+    def coloring(self) -> ColoringReport:
+        """Proper coloring with at most t_bound * omega colors.
+
+        Chain indices are reused across lines inside one residue block (the max
+        accounting) and palettes are disjoint across blocks (the sum accounting).
+        """
+        blocks: dict[tuple, list] = {}
+        for key in self.posets:
+            blocks.setdefault(self.dec.block_of(key), []).append(key)
+
+        n = len(self.nf.family)
+        colors = [0] * n
+        labels: list[tuple] = [()] * n
+        base = 0
+        for block_key in sorted(blocks):
+            width_ = max(len(self.chains[k]) for k in blocks[block_key])
+            for class_key in blocks[block_key]:
+                for idx, chain in enumerate(self.chains[class_key]):
+                    for member in chain:
+                        colors[member] = base + idx
+                        labels[member] = block_key
+            base += width_
+
+        omega_used = max((len(ch) for ch in self.chains.values()), default=0)
+        return ColoringReport(
+            method="theorem1",
+            colors=tuple(colors),
+            colors_used=base,
+            bound_value=self.nf.params.t_bound * omega_used,
+            bound_basis="t_bound*omega",
+            omega_used=omega_used,
+            seed=self.dec.offsets.seed,
+            params=self.nf.params.to_json(),
+            block_labels=tuple(labels),
+            classes=self.summaries,
+        )
+
+    def partition(self) -> PartitionReport:
+        """Clique partition with at most t_bound * nu classes (sum accounting
+        across lines and across residue blocks)."""
+        assign = [0] * len(self.nf.family)
+        base = 0
+        for class_key in sorted(self.posets):
+            for idx, layer in enumerate(self.layers[class_key]):
+                for member in layer:
+                    assign[member] = base + idx
+            base += len(self.layers[class_key])
+
+        block_totals: dict[tuple, int] = {}
+        for key in self.posets:
+            block = self.dec.block_of(key)
+            block_totals[block] = block_totals.get(block, 0) + len(self.layers[key])
+        nu_used = max(block_totals.values(), default=0)
+        return PartitionReport(
+            method="theorem1",
+            classes_assign=tuple(assign),
+            classes_used=base,
+            bound_value=self.nf.params.t_bound * nu_used,
+            bound_basis="t_bound*nu",
+            nu_used=nu_used,
+            seed=self.dec.offsets.seed,
+            params=self.nf.params.to_json(),
+            classes=self.summaries,
+        )
+
+
+def translate_pipeline(family: Family, seed: int = 0) -> TranslatePipeline:
+    """Normalize, pick offsets, decompose, and partition every class poset
+    into chains and antichains."""
     nf = normalize(family)
-    offsets = choose_offsets(nf, seed)
-    dec = decompose(nf, offsets)
+    dec = decompose(nf, choose_offsets(nf, seed))
     posets = {key: build_poset(members, nf) for key, members in dec.classes().items()}
-    return nf, dec, posets
+    chains = {key: chain_partition(p) for key, p in posets.items()}
+    layers = {key: antichain_partition(p) for key, p in posets.items()}
+    summaries = tuple(
+        ClassSummary(line_key=key[0], cell_residue=key[1], members=posets[key].members,
+                     chain_count=len(chains[key]), antichain_count=len(layers[key]))
+        for key in sorted(posets)
+    )
+    return TranslatePipeline(nf, dec, posets, chains, layers, summaries)
 
 
 def color_translates(family: Family, seed: int = 0) -> ColoringReport:
-    """Proper coloring with at most t_bound * omega colors.
-
-    Chain indices are reused across lines inside one residue block (the max
-    accounting) and palettes are disjoint across blocks (the sum accounting).
-    """
-    nf, dec, posets = _pipeline(family, seed)
-    chains = {key: chain_partition(p) for key, p in posets.items()}
-
-    blocks: dict[tuple, list] = {}
-    for key in posets:
-        blocks.setdefault(dec.block_of(key), []).append(key)
-
-    colors = [0] * len(family)
-    labels: list[tuple] = [()] * len(family)
-    base = 0
-    for block_key in sorted(blocks):
-        width_ = max(len(chains[k]) for k in blocks[block_key])
-        for class_key in blocks[block_key]:
-            for idx, chain in enumerate(chains[class_key]):
-                for member in chain:
-                    colors[member] = base + idx
-                    labels[member] = block_key
-        base += width_
-
-    summaries = tuple(
-        ClassSummary(
-            line_key=key[0], cell_residue=key[1], members=posets[key].members,
-            chain_count=len(chains[key]),
-            antichain_count=len(antichain_partition(posets[key])),
-        )
-        for key in sorted(posets)
-    )
-    omega_used = max((len(ch) for ch in chains.values()), default=0)
-    return ColoringReport(
-        method="theorem1",
-        colors=tuple(colors),
-        colors_used=base,
-        bound_value=nf.params.t_bound * omega_used,
-        bound_basis="t_bound*omega",
-        omega_used=omega_used,
-        seed=seed,
-        params=nf.params.to_json(),
-        block_labels=tuple(labels),
-        classes=summaries,
-    )
+    """Proper coloring with at most t_bound * omega colors."""
+    return translate_pipeline(family, seed).coloring()
 
 
 def clique_partition_translates(family: Family, seed: int = 0) -> PartitionReport:
-    """Clique partition with at most t_bound * nu classes (sum accounting
-    across lines and across residue blocks)."""
-    nf, dec, posets = _pipeline(family, seed)
-    layers = {key: antichain_partition(p) for key, p in posets.items()}
-
-    assign = [0] * len(family)
-    base = 0
-    for class_key in sorted(posets):
-        for idx, layer in enumerate(layers[class_key]):
-            for member in layer:
-                assign[member] = base + idx
-        base += len(layers[class_key])
-
-    block_totals: dict[tuple, int] = {}
-    for key in posets:
-        block = dec.block_of(key)
-        block_totals[block] = block_totals.get(block, 0) + len(layers[key])
-    nu_used = max(block_totals.values(), default=0)
-
-    summaries = tuple(
-        ClassSummary(
-            line_key=key[0], cell_residue=key[1], members=posets[key].members,
-            chain_count=len(chain_partition(posets[key])),
-            antichain_count=len(layers[key]),
-        )
-        for key in sorted(posets)
-    )
-    return PartitionReport(
-        method="theorem1",
-        classes_assign=tuple(assign),
-        classes_used=base,
-        bound_value=nf.params.t_bound * nu_used,
-        bound_basis="t_bound*nu",
-        nu_used=nu_used,
-        seed=seed,
-        params=nf.params.to_json(),
-        classes=summaries,
-    )
+    """Clique partition with at most t_bound * nu classes."""
+    return translate_pipeline(family, seed).partition()

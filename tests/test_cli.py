@@ -1,8 +1,10 @@
 import json
 import re
+import time
 
 import pytest
 
+from convex_chroma import cli
 from convex_chroma.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from convex_chroma.families import load_family, save_family
 from convex_chroma.graph_core import build_graph, from_dimacs
@@ -162,6 +164,55 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("placement", [
+        '{"center": [0, 0], "scale": NaN}',
+        '{"center": [Infinity, 0], "scale": 1}',
+        '{"scale": 1}',
+    ], ids=["nan-scale", "infinite-center", "no-center"])
+    def test_exits_invalid_input_quickly(self, placement, tmp_path, capsys):
+        fam = tmp_path / "bad.json"
+        fam.write_text('{"body": {"kind": "polygon2d", "vertices": [[0, 0], [1, 0], [0, 1]]}, '
+                       '"placements": [{"center": [0.5, 0.5], "scale": 1}, '
+                       f'{placement}], "meta": {{}}}}\n')
+        t0 = time.perf_counter()
+        assert run(["verify", "--in", str(fam), "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _count_calls(monkeypatch, names: list[str]) -> dict[str, int]:
+    """Count calls the CLI makes through its module-global names."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+class TestRunContext:
+    def test_translate_verify_builds_each_artefact_once(self, tmp_path, monkeypatch):
+        fam = tmp_path / "t.json"
+        assert run(["generate", "random", "--body", "triangle", "--count", "12",
+                    "--window", "0,3", "--seed", "3", "--out", str(fam)]) == EXIT_OK
+        counts = _count_calls(monkeypatch, ["max_clique", "max_independent_set",
+                                            "symmetrized_certificate", "translate_pipeline"])
+        assert run(["verify", "--in", str(fam), "--samples", "20000",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert counts == dict.fromkeys(counts, 1)
+
+    def test_homothet_verify_builds_the_certificate_once(self, tmp_path, monkeypatch):
+        fam = tmp_path / "h.json"
+        assert run(["generate", "random", "--body", "triangle", "--count", "12",
+                    "--scales", "0.5,2", "--seed", "5", "--out", str(fam)]) == EXIT_OK
+        counts = _count_calls(monkeypatch, ["known_certificate", "cover_by_translates"])
+        assert run(["verify", "--in", str(fam), "--samples", "20000",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert counts == {"known_certificate": 1, "cover_by_translates": 1}
 
 
 class TestExport:

@@ -257,6 +257,16 @@ class TestValidationAndJson:
         with pytest.raises(GeometryError):
             Placement((0, 0), scale=-1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConvexBody.polygon([(0, 0), (1, 0), (0, float("nan"))]),
+        lambda: ConvexBody.box((1.0, float("inf"))),
+        lambda: Placement((0, 0), scale=float("nan")),
+        lambda: Placement((float("-inf"), 0)),
+    ], ids=["nan-vertex", "infinite-side", "nan-scale", "infinite-center"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(GeometryError):
+            make()
+
     def test_body_json_round_trip(self, triangle, disk):
         for body in (triangle, disk, ConvexBody.box((1, 2, 3))):
             again = ConvexBody.from_json(json.loads(json.dumps(body.to_json())))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from convex_chroma.constructions import (
 )
 from convex_chroma.families import translates
 from convex_chroma.graph_core import (
+    ConsistencyError,
     GraphInvariants,
     IntersectionGraph,
     build_graph,
@@ -143,6 +146,17 @@ class TestCliqueCover:
         assert res.value == 4
         assert verify_clique_partition(g, list(res.witness))
 
+    def test_capped_above_the_cap_stays_greedy(self):
+        # the complement of a sparse graph is dense: an exact clique search
+        # there would not finish, so the lower bound must come from the cap
+        g = IntersectionGraph.from_matrix(random_graph(2, 200, p=0.04))
+        t0 = time.perf_counter()
+        res = clique_cover_number(g, cap=45)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.capped and res.value is None
+        assert 1 <= res.lower <= res.upper
+        assert verify_clique_partition(g, list(res.witness))
+
 
 class TestVerifiers:
     def test_c5_colorings(self):
@@ -202,7 +216,7 @@ class TestInvariantsBundle:
     def test_bad_bundle_rejected(self):
         from convex_chroma.graph_core import SolveResult
 
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConsistencyError):
             GraphInvariants(
                 omega=SolveResult(value=5, witness=()),
                 alpha=SolveResult(value=1, witness=()),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convex_chroma.constructions import random_family
-from convex_chroma.covering import known_certificate
+from convex_chroma.covering import BOUNDARY_SAMPLES, known_certificate
 from convex_chroma.families import Family, translates
 from convex_chroma.geometry import (
     ConvexBody,
@@ -203,6 +203,10 @@ class TestSymmetrizedPath:
                                            omega=max_clique(g).value)
         assert verify_coloring(g, list(rep.colors))
         assert rep.colors_used <= rep.bound_value
+
+    def test_samples_reach_the_certificate(self, triangle):
+        cert = symmetrized_certificate(triangle, samples=20_000)
+        assert cert.verified_samples == 20_000 + BOUNDARY_SAMPLES
 
     def test_single_member(self, triangle):
         fam = translates(triangle, [(0, 0)])
