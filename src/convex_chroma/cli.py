@@ -270,8 +270,8 @@ def cmd_partition(args) -> int:
 def cmd_verify(args) -> int:
     run = _Run(args)
     family, g = run.family, run.graph
-    chi_res = chromatic_number(g, cap=run.caps.chi)
-    theta_res = clique_cover_number(g, cap=run.caps.chi)
+    chi_res = chromatic_number(g, cap=run.caps.chi, clique=run.omega)
+    theta_res = clique_cover_number(g, cap=run.caps.chi, independent=run.nu)
     results = {"omega": run.omega, "nu": run.nu, "chi": chi_res, "theta": theta_res}
     oracles: dict = {key: _exact(res) for key, res in results.items()}
     capped = any(res.capped for res in results.values())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, translates
-from .geometry import ConvexBody, Placement, pair_margin, pairwise_adjacency
+from .geometry import ConvexBody, Placement, homothet_margins, pairwise_adjacency
 from .graph_core import SolverCaps, build_graph, clique_cover_number, max_clique
 
 GRID_MEMBER_CAP = 4096
@@ -278,21 +278,26 @@ def random_family(
 
     Centers are uniform in the window (per axis), scales uniform in the range;
     placements too close to flipping intersect/disjoint against any earlier
-    member are resampled, up to 1000 draws each.
+    member (checked against all of them in one `homothet_margins` call) are
+    resampled, up to 1000 draws each.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = window
     rng = np.random.default_rng(seed)
     dim = body.dimension
+    centers = np.zeros((count, dim))
+    scales = np.zeros(count)
     placements: list[Placement] = []
-    for _ in range(count):
+    for k in range(count):
         for attempt in range(RANDOM_RESAMPLE_BUDGET):
             center = tuple(float(v) for v in rng.uniform(lo, hi, size=dim))
             scale = float(rng.uniform(scale_range[0], scale_range[1]))
             cand = Placement(center=center, scale=scale)
-            if all(abs(pair_margin(body, prev, cand)) >= margin for prev in placements):
+            margins = homothet_margins(body, centers[:k], scales[:k], cand.center, cand.scale)
+            if (np.abs(margins) >= margin).all():
                 placements.append(cand)
+                centers[k], scales[k] = cand.center, cand.scale
                 break
         else:
             raise ConstructionError(

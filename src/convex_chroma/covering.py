@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, GeometryError, _edge_normals, _poly_array
+from .geometry import ConvexBody, GeometryError, PointMargins, _edge_normals, _poly_array
 
 SAMPLE_TOL = 1e-9
 BOUNDARY_SAMPLES = 1000
@@ -85,30 +85,6 @@ class CoverReport:
         return self.uncovered == 0
 
 
-class _MarginEvaluator:
-    """Per-translate signed containment margins of a fixed point set."""
-
-    def __init__(self, body: ConvexBody, scale: float, pts: np.ndarray):
-        self.body = body
-        self.scale = scale
-        self.pts = pts
-        if body.kind == "polygon2d":
-            normals, offsets = _edge_normals(_poly_array(body))
-            self._normals = normals
-            self._scaled_offsets = scale * offsets
-            self._projected = pts @ normals.T
-        elif body.kind == "box":
-            self._half = scale * np.asarray(body.sides) / 2.0
-
-    def margins(self, v: np.ndarray) -> np.ndarray:
-        if self.body.kind == "disk":
-            return self.scale - np.linalg.norm(self.pts - v, axis=1)
-        if self.body.kind == "box":
-            return (self._half - np.abs(self.pts - v)).min(axis=1)
-        shift = self._scaled_offsets + self._normals @ v
-        return (shift[None, :] - self._projected).min(axis=1)
-
-
 def _bounding_box(body: ConvexBody, scale: float) -> tuple[np.ndarray, np.ndarray]:
     if body.kind == "polygon2d":
         verts = scale * _poly_array(body)
@@ -117,10 +93,6 @@ def _bounding_box(body: ConvexBody, scale: float) -> tuple[np.ndarray, np.ndarra
         return np.array([-scale, -scale]), np.array([scale, scale])
     half = scale * np.asarray(body.sides) / 2.0
     return -half, half
-
-
-def _contains(body: ConvexBody, scale: float, pts: np.ndarray) -> np.ndarray:
-    return _MarginEvaluator(body, scale, pts).margins(np.zeros(body.dimension)) >= -SAMPLE_TOL
 
 
 def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
@@ -133,7 +105,7 @@ def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
     chunk = max(count, 1024)
     while have < count:
         raw = lo + halton(chunk, dim, start=start) * (hi - lo)
-        mask = _contains(body, scale, raw)
+        mask = PointMargins(body, scale, raw).margins(np.zeros(dim)) >= -SAMPLE_TOL
         take = raw[mask]
         accepted.append(take)
         have += len(take)
@@ -299,7 +271,7 @@ def cover_by_translates(
         axes.append(lo[d] + (np.arange(count) + 0.5) * lattice_step)
     grid = np.array(list(itertools.product(*axes))) - ball_center
 
-    evaluator = _MarginEvaluator(unit, unit_scale, pts)
+    evaluator = PointMargins(unit, unit_scale, pts)
     coverage = np.zeros((len(grid), len(pts)), dtype=bool)
     for k, v in enumerate(grid):
         coverage[k] = evaluator.margins(v) >= -SAMPLE_TOL
@@ -346,7 +318,7 @@ def verify_certificate(cert: CoveringCertificate, samples: int = DEFAULT_SAMPLES
     if samples < 1000:
         raise ValueError("verification needs at least 1000 samples")
     pts = _sample_target(cert.target, cert.target_scale, samples)
-    evaluator = _MarginEvaluator(cert.unit, cert.unit_scale, pts)
+    evaluator = PointMargins(cert.unit, cert.unit_scale, pts)
     best = np.full(len(pts), -np.inf)
     for v in cert.translations:
         best = np.maximum(best, evaluator.margins(np.asarray(v)))

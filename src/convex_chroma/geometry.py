@@ -6,6 +6,11 @@ disk centered at the origin, and axis-parallel boxes in any dimension
 (described by side lengths, reference point at the center). A family member
 is ``scale * body + center`` given by a Placement. All values are immutable;
 every operation is a pure function.
+
+One rule decides every homothet pair: lam1*C + c1 and lam2*C + c2 meet iff
+u.(c2 - c1) <= lam1*h_C(u) + lam2*h_C(-u) + TOL for every facet normal u of
+C and of -C (the facet normals of the Minkowski sum lam1*C + lam2*(-C)), with
+h_C the support function; the disk and the box are its closed forms.
 """
 
 from __future__ import annotations
@@ -156,10 +161,29 @@ def points_in_polygon(verts: np.ndarray, pts: np.ndarray, tol: float = TOL) -> n
     return (margins >= -tol).all(axis=1)
 
 
-def polygon_margins(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Signed containment margin per point: >= 0 inside, the min slab distance."""
-    normals, offsets = _edge_normals(verts)
-    return (offsets[None, :] - pts @ normals.T).min(axis=1)
+class PointMargins:
+    """Signed containment margins of a fixed point set in translates
+    scale*C + v: >= 0 inside, the smallest slab distance."""
+
+    def __init__(self, body: ConvexBody, scale: float, pts: np.ndarray):
+        self.body = body
+        self.scale = scale
+        self.pts = pts
+        if body.kind == "polygon2d":
+            normals, offsets = _edge_normals(_poly_array(body))
+            self._normals = normals
+            self._scaled_offsets = scale * offsets
+            self._projected = pts @ normals.T
+        elif body.kind == "box":
+            self._half = scale * np.asarray(body.sides) / 2.0
+
+    def margins(self, v: np.ndarray) -> np.ndarray:
+        if self.body.kind == "disk":
+            return self.scale - np.linalg.norm(self.pts - v, axis=1)
+        if self.body.kind == "box":
+            return (self._half - np.abs(self.pts - v)).min(axis=1)
+        shift = self._scaled_offsets + self._normals @ v
+        return (shift[None, :] - self._projected).min(axis=1)
 
 
 def area(body: ConvexBody) -> float:
@@ -280,53 +304,64 @@ def width(body: ConvexBody, direction: np.ndarray) -> float:
 @lru_cache(maxsize=4096)
 def difference_polygon(body: ConvexBody, lam1: float, lam2: float) -> ConvexBody:
     """The polygon lam1*C + lam2*(-C); translates p,q of the scaled bodies
-    intersect iff q - p lies in it."""
+    intersect iff q - p lies in it (a reference; the pair tests use its normals)."""
     return minkowski_sum(scale_body(body, lam1), scale_body(reflect(body), lam2))
+
+
+@lru_cache(maxsize=256)
+def _support_table(body: ConvexBody) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit facet normals u of C - C (those of C and of -C, parallel ones
+    merged) with h_C(u) and h_C(-u) for each; polygons only."""
+    verts = _poly_array(body)
+    normals, _ = _edge_normals(verts)
+    merged: list[np.ndarray] = []
+    for u in np.vstack([normals, -normals]):
+        if not any(u @ w > 0 and abs(u[0] * w[1] - u[1] * w[0]) < TOL for w in merged):
+            merged.append(u)
+    table = np.array(merged)
+    proj = verts @ table.T
+    out = (table, proj.max(axis=0), -proj.min(axis=0))
+    for arr in out:
+        arr.setflags(write=False)  # cached: shared by every caller
+    return out
+
+
+def homothet_margins(body: ConvexBody, centers: np.ndarray, scales: np.ndarray,
+                     center: Sequence[float], scale: float) -> np.ndarray:
+    """Signed tangency margin of scales[k]*C + centers[k] against scale*C +
+    center for every k: > 0 strictly intersecting, < 0 strictly disjoint,
+    magnitude (a lower bound on) the distance to the flip."""
+    delta = np.asarray(center, dtype=float) - centers
+    if body.kind == "disk":
+        return scales + scale - np.linalg.norm(delta, axis=1)
+    if body.kind == "box":
+        half = (scales + scale)[:, None] * np.asarray(body.sides) / 2.0
+        return (half - np.abs(delta)).min(axis=1)
+    normals, h_pos, h_neg = _support_table(body)
+    return (scales[:, None] * h_pos + scale * h_neg - delta @ normals.T).min(axis=1)
 
 
 def homothets_intersect(
     body: ConvexBody, p1: Placement, p2: Placement, tol: float = TOL
 ) -> bool:
-    """Closed intersection test for lam1*C + c1 and lam2*C + c2.
-
-    Membership form: the homothets meet iff c2 - c1 lies in lam1*C + lam2*(-C).
-    Boundary tangency counts as intersecting.
-    """
+    """Closed intersection test for lam1*C + c1 and lam2*C + c2: tangency
+    counts as intersecting."""
     if len(p1.center) != body.dimension or len(p2.center) != body.dimension:
         raise GeometryError("placement dimension does not match body dimension")
-    delta = np.asarray(p2.center) - np.asarray(p1.center)
-    lam = p1.scale + p2.scale
-    if body.kind == "disk":
-        return bool(np.linalg.norm(delta) <= lam + tol)
-    if body.kind == "box":
-        half = lam * np.asarray(body.sides) / 2.0
-        return bool((np.abs(delta) <= half + tol).all())
-    diff = difference_polygon(body, p1.scale, p2.scale)
-    return bool(points_in_polygon(_poly_array(diff), delta[None, :], tol)[0])
+    return pair_margin(body, p1, p2) >= -tol
 
 
 def pair_margin(body: ConvexBody, p1: Placement, p2: Placement) -> float:
-    """Signed tangency margin: > 0 strictly intersecting, < 0 strictly disjoint,
-    magnitude is (a lower bound on) the distance to the flip."""
-    delta = np.asarray(p2.center) - np.asarray(p1.center)
-    lam = p1.scale + p2.scale
-    if body.kind == "disk":
-        return float(lam - np.linalg.norm(delta))
-    if body.kind == "box":
-        half = lam * np.asarray(body.sides) / 2.0
-        return float((half - np.abs(delta)).min())
-    diff = difference_polygon(body, p1.scale, p2.scale)
-    return float(polygon_margins(_poly_array(diff), delta[None, :])[0])
+    """Signed tangency margin of the pair (see `homothet_margins`)."""
+    return float(homothet_margins(body, np.array([p1.center]), np.array([p1.scale]),
+                                  p2.center, p2.scale)[0])
 
 
 def pairwise_adjacency(
     body: ConvexBody, centers: np.ndarray, scales: np.ndarray, tol: float = TOL
 ) -> np.ndarray:
-    """Boolean intersection matrix for a whole family (vectorized per body kind)."""
-    n = len(centers)
-    adj = np.zeros((n, n), dtype=bool)
-    if n == 0:
-        return adj
+    """Boolean intersection matrix of a whole family, irreflexive; polygons
+    AND one n x n mask per facet normal of C - C."""
     if body.kind == "disk":
         d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
         adj = d <= scales[:, None] + scales[None, :] + tol
@@ -337,21 +372,14 @@ def pairwise_adjacency(
         )[:, :, None] * half[None, None, :]
         adj = (gap <= tol).all(axis=2)
     else:
-        uniq = np.unique(scales)
-        if len(uniq) == 1:
-            diff = _poly_array(difference_polygon(body, float(uniq[0]), float(uniq[0])))
-            delta = (centers[None, :, :] - centers[:, None, :]).reshape(-1, 2)
-            adj = points_in_polygon(diff, delta, tol).reshape(n, n)
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    diff = _poly_array(
-                        difference_polygon(body, float(scales[i]), float(scales[j]))
-                    )
-                    hit = points_in_polygon(diff, (centers[j] - centers[i])[None, :], tol)[0]
-                    adj[i, j] = adj[j, i] = hit
+        normals, h_pos, h_neg = _support_table(body)
+        dx = centers[None, :, 0] - centers[:, None, 0]
+        dy = centers[None, :, 1] - centers[:, None, 1]
+        adj = np.ones(dx.shape, dtype=bool)
+        for (ux, uy), hp, hm in zip(normals, h_pos, h_neg):
+            adj &= ux * dx + uy * dy <= (scales * hp + tol)[:, None] + (scales * hm)[None, :]
     np.fill_diagonal(adj, False)
-    return np.logical_or(adj, adj.T)
+    return adj | adj.T
 
 
 def containment_ratio(body: ConvexBody, fit: ParallelogramFit) -> float:

@@ -43,32 +43,38 @@ class IntersectionGraph:
     family_ref: str = ""
 
     def __post_init__(self):
+        n = self.member_count
+        if len(self.rows) != n:
+            raise ValueError("adjacency needs one row per member")
         for i, row in enumerate(self.rows):
-            if row >> self.member_count:
+            if row >> n:
                 raise ValueError("adjacency row exceeds member count")
             if (row >> i) & 1:
                 raise ValueError("adjacency must be irreflexive")
-        for i in range(self.member_count):
-            for j in range(i + 1, self.member_count):
-                if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
-                    raise ValueError("adjacency must be symmetric")
+        width = (n + 7) // 8
+        raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows),
+                            dtype=np.uint8).reshape(n, width)
+        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+        if not (bits == bits.T).all():
+            raise ValueError("adjacency must be symmetric")
 
     @staticmethod
     def from_matrix(adj: np.ndarray, family_ref: str = "") -> "IntersectionGraph":
-        n = len(adj)
-        rows = tuple(int(sum(1 << j for j in range(n) if adj[i, j] and j != i)) for i in range(n))
+        """Row i has bit j set where adj[i, j] is true and j != i."""
+        mask = np.array(adj, dtype=bool)
+        n = len(mask)
+        if mask.shape != (n, n):
+            raise ValueError(f"adjacency matrix must be square, got shape {mask.shape}")
+        np.fill_diagonal(mask, False)
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         return IntersectionGraph(member_count=n, rows=rows, family_ref=family_ref)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.member_count)
-            for j in range(i + 1, self.member_count)
-            if (self.rows[i] >> j) & 1
-        ]
+        return [(i, j) for i, row in enumerate(self.rows) for j in _bits(row >> i << i)]
 
     def degree(self, i: int) -> int:
         return bin(self.rows[i]).count("1")
@@ -81,14 +87,8 @@ class IntersectionGraph:
 
     def subgraph(self, members: list[int]) -> "IntersectionGraph":
         idx = {m: k for k, m in enumerate(members)}
-        rows = []
-        for m in members:
-            row = 0
-            for o in members:
-                if o != m and (self.rows[m] >> o) & 1:
-                    row |= 1 << idx[o]
-            rows.append(row)
-        return IntersectionGraph(member_count=len(members), rows=tuple(rows))
+        rows = tuple(sum(1 << idx[o] for o in _bits(self.rows[m]) if o in idx) for m in members)
+        return IntersectionGraph(member_count=len(members), rows=rows)
 
 
 def build_graph(family: Family, family_ref: str = "") -> IntersectionGraph:
@@ -159,7 +159,7 @@ def _greedy_clique(g: IntersectionGraph) -> list[int]:
     clique: list[int] = []
     mask = (1 << g.member_count) - 1
     for v in order:
-        if all((g.rows[v] >> u) & 1 for u in clique):
+        if (mask >> v) & 1:
             clique.append(v)
             mask &= g.rows[v]
     return sorted(clique)
@@ -239,21 +239,26 @@ def _k_coloring(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...]) -> l
     return None
 
 
-def chromatic_number(g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP) -> SolveResult:
+def chromatic_number(
+    g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP, clique: SolveResult | None = None
+) -> SolveResult:
     """Exact chromatic number via iterative deepening seeded with a clique
-    lower bound and a DSATUR greedy upper bound."""
+    lower bound and a DSATUR greedy upper bound; an exact `clique` (a known
+    `max_clique(g)` result) replaces the search for one."""
     n = g.member_count
     if n == 0:
         return SolveResult(value=0, witness=())
+    if clique is None or clique.capped:
+        clique = max_clique(g, cap=cap)
+    elif not _is_clique(g, clique.witness):
+        raise ValueError("the given clique is not a clique of the graph")
     if n > cap:
         greedy = greedy_coloring(g)
-        clique = max_clique(g, cap=cap)
         return SolveResult(
             value=None, witness=tuple(greedy), capped=True,
             lower=clique.value if not clique.capped else clique.lower,
             upper=max(greedy) + 1,
         )
-    clique = max_clique(g, cap=n)
     lb = clique.require()
     greedy = greedy_coloring(g)
     ub = max(greedy) + 1
@@ -266,9 +271,13 @@ def chromatic_number(g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP) -> SolveR
     return SolveResult(value=ub, witness=tuple(greedy))
 
 
-def clique_cover_number(g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP) -> SolveResult:
-    """Exact clique-cover number: chromatic number of the complement graph."""
-    return chromatic_number(g.complement(), cap=cap)
+def clique_cover_number(
+    g: IntersectionGraph, cap: int = DEFAULT_CHI_CAP, independent: SolveResult | None = None
+) -> SolveResult:
+    """Exact clique-cover number: chromatic number of the complement graph.
+    `independent` is a known `max_independent_set(g)` result, used as
+    `chromatic_number`'s clique of the complement."""
+    return chromatic_number(g.complement(), cap=cap, clique=independent)
 
 
 def verify_coloring(g: IntersectionGraph, assignment) -> bool:
@@ -288,12 +297,12 @@ def verify_clique_partition(g: IntersectionGraph, assignment) -> bool:
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(assignment):
         classes.setdefault(c, []).append(i)
-    for members in classes.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not g.adjacent(members[a], members[b]):
-                    return False
-    return True
+    return all(_is_clique(g, members) for members in classes.values())
+
+
+def _is_clique(g: IntersectionGraph, members) -> bool:
+    mask = sum(1 << v for v in set(members))
+    return all(mask & ~(g.rows[v] | 1 << v) == 0 for v in members)
 
 
 @dataclass(frozen=True)
@@ -319,10 +328,8 @@ def compute_invariants(g: IntersectionGraph, caps: SolverCaps = SolverCaps()) ->
         chi=chromatic_number(g, cap=caps.chi),
         theta=clique_cover_number(g, cap=caps.chi),
     )
-    if not inv.omega.capped:
-        witness = inv.omega.witness
-        if not all(g.adjacent(a, b) for k, a in enumerate(witness) for b in witness[k + 1:]):
-            raise ConsistencyError("clique witness failed")
+    if not inv.omega.capped and not _is_clique(g, inv.omega.witness):
+        raise ConsistencyError("clique witness failed")
     if not inv.chi.capped and not verify_coloring(g, list(inv.chi.witness)):
         raise ConsistencyError("coloring witness failed")
     if not inv.theta.capped and not verify_clique_partition(g, list(inv.theta.witness)):

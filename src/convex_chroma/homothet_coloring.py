@@ -20,7 +20,7 @@ import numpy as np
 
 from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
 from .families import Family
-from .geometry import ConvexBody, GeometryError, _edge_normals, _poly_array, scale_body, symmetrize
+from .geometry import ConvexBody, GeometryError, PointMargins, _poly_array, scale_body, symmetrize
 from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
@@ -56,22 +56,8 @@ class PiercingAssignment:
         return [groups[p] for p in used]
 
 
-def _member_margins(body: ConvexBody, center: np.ndarray, scale: float, pts: np.ndarray) -> np.ndarray:
-    """Signed containment margins of the points in scale*C + center."""
-    if body.kind == "disk":
-        return scale - np.linalg.norm(pts - center, axis=1)
-    if body.kind == "box":
-        half = scale * np.asarray(body.sides) / 2.0
-        return (half - np.abs(pts - center)).min(axis=1)
-    normals, offsets = _edge_normals(_poly_array(body))
-    return (scale * offsets + normals @ center)[None, :] - (pts @ normals.T)
-
-
 def _member_contains(body: ConvexBody, center: np.ndarray, scale: float, pts: np.ndarray) -> np.ndarray:
-    margins = _member_margins(body, center, scale, pts)
-    if margins.ndim == 2:
-        margins = margins.min(axis=1)
-    return margins >= -PIERCE_TOL
+    return PointMargins(body, scale, pts).margins(center) >= -PIERCE_TOL
 
 
 def _interior_point(body: ConvexBody) -> np.ndarray:
@@ -99,7 +85,9 @@ def pierce_intersecting_smallest(
     bodies try the 2^n corners of the smallest member first, which provably
     pierce same-or-larger intersecting boxes).  Containment is verified for
     every assignment; members containing no candidate trigger the greedy
-    point-stabbing fallback.
+    point-stabbing fallback, which pierces the smallest unassigned member at
+    its own interior point each step (a member that does not contain that
+    point is a fault and raises ConsistencyError).
     """
     if not members:
         raise ValueError("pierce_intersecting_smallest needs a non-empty subfamily")
@@ -136,6 +124,8 @@ def pierce_intersecting_smallest(
                 if _member_contains(body, centers[i], scales[i], q[None, :])[0]:
                     assignment[i] = idx
                     unassigned.remove(i)
+            if m not in assignment:
+                raise ConsistencyError(f"member {m} does not contain its own seed point")
 
     member_tuple = tuple(sorted(members))
     return PiercingAssignment(

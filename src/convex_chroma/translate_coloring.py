@@ -26,8 +26,8 @@ from .families import Family
 from .geometry import (
     GeometryError,
     ParallelogramFit,
-    homothets_intersect,
     inscribed_parallelogram,
+    pairwise_adjacency,
 )
 from .graph_core import ConsistencyError
 from .reports import ClassSummary, ColoringReport, PartitionReport
@@ -224,21 +224,13 @@ def build_poset(members: list[int], nf: NormalizedFamily) -> PosetClass:
     """Strict partial order on one class: disjoint and strictly lower last
     coordinate.  Transitivity failures raise (they would falsify the fit)."""
     family = nf.family
-    n = nf.params.n
-    last = nf.refs[members, n - 1] if members else np.zeros(0)
-    m = len(members)
-    relation = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for bb in range(a + 1, m):
-            i, j = members[a], members[bb]
-            if homothets_intersect(family.body, family.placements[i], family.placements[j]):
-                continue
-            if last[a] == last[bb]:
-                raise PosetError("disjoint class members share a last coordinate")
-            if last[a] < last[bb]:
-                relation[a, bb] = True
-            else:
-                relation[bb, a] = True
+    last = nf.refs[members, nf.params.n - 1] if members else np.zeros(0)
+    disjoint = ~pairwise_adjacency(family.body, family.centers()[members],
+                                   family.scales()[members])
+    np.fill_diagonal(disjoint, False)
+    if (disjoint & (last[:, None] == last[None, :])).any():
+        raise PosetError("disjoint class members share a last coordinate")
+    relation = disjoint & (last[:, None] < last[None, :])
     return PosetClass(members=tuple(members), relation=relation, last_coords=last)
 
 

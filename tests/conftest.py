@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.spatial import ConvexHull
 
 from convex_chroma.geometry import ConvexBody
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

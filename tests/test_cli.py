@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from convex_chroma import cli
+from convex_chroma import cli, graph_core
 from convex_chroma.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from convex_chroma.families import load_family, save_family
 from convex_chroma.graph_core import build_graph, from_dimacs
@@ -204,6 +204,24 @@ class TestRunContext:
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert counts == dict.fromkeys(counts, 1)
+
+    def test_verify_searches_omega_and_nu_once_each(self, tmp_path, monkeypatch):
+        fam = tmp_path / "p3.json"
+        assert run(["generate", "pentagon", "--k", "3", "--out", str(fam)]) == EXIT_OK
+        exact = []
+        original = graph_core.max_clique
+
+        def counted(g, cap=graph_core.DEFAULT_OMEGA_CAP):
+            res = original(g, cap=cap)
+            if not res.capped:
+                exact.append(res.value)
+            return res
+
+        monkeypatch.setattr(graph_core, "max_clique", counted)
+        monkeypatch.setattr(cli, "max_clique", counted)
+        assert run(["verify", "--in", str(fam), "--samples", "20000",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert sorted(exact) == [2, 6]  # nu = 2 and omega = 2k of C5[K_3]
 
     def test_homothet_verify_builds_the_certificate_once(self, tmp_path, monkeypatch):
         fam = tmp_path / "h.json"

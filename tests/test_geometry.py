@@ -4,23 +4,35 @@ import math
 import numpy as np
 import pytest
 
+from convex_chroma.constructions import grid_family, pentagon_family, random_family
+from convex_chroma.families import Family, family_digest
 from convex_chroma.geometry import (
+    TOL,
     ConvexBody,
     GeometryError,
     ParallelogramFit,
     Placement,
     area,
     containment_ratio,
+    difference_polygon,
     homothets_intersect,
     inscribed_parallelogram,
     minkowski_sum,
     pair_margin,
+    pairwise_adjacency,
+    points_in_polygon,
     reflect,
     symmetrize,
 )
 from conftest import cyclic_equal, hull_vertices, random_polygon
 
 HEXAGON = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+TRIANGLE = ConvexBody.polygon([(0, 0), (1, 0), (0, 1)])
+REGULAR_PENTAGON = ConvexBody.polygon(
+    [(math.cos(0.3 + 2 * math.pi * k / 5), math.sin(0.3 + 2 * math.pi * k / 5)) for k in range(5)]
+)
+IRREGULAR_PENTAGON = ConvexBody.polygon([(0, 0), (2, 0), (2.5, 1), (1, 2), (-0.5, 1)])
+SQUARE_POLYGON = ConvexBody.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
 
 def shoelace(verts) -> float:
@@ -275,3 +287,124 @@ class TestValidationAndJson:
     def test_unknown_kind(self):
         with pytest.raises(GeometryError):
             ConvexBody.from_json({"kind": "ellipse"})
+
+
+def _as_polygon(body: ConvexBody) -> ConvexBody:
+    if body.kind == "box":
+        hx, hy = (s / 2.0 for s in body.sides)
+        return ConvexBody.polygon([(-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)])
+    return body
+
+
+def reference_adjacency(family: Family) -> np.ndarray:
+    """Pair by pair: c_j - c_i inside the difference polygon (the disk by its
+    closed form), mirrored."""
+    body = family.body
+    n = len(family)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, p1 in enumerate(family.placements):
+        for j in range(i + 1, n):
+            p2 = family.placements[j]
+            delta = np.subtract(p2.center, p1.center)
+            if body.kind == "disk":
+                hit = np.linalg.norm(delta) <= p1.scale + p2.scale + TOL
+            else:
+                diff = difference_polygon(_as_polygon(body), p1.scale, p2.scale)
+                hit = points_in_polygon(np.array(diff.vertices), delta[None, :])[0]
+            adj[i, j] = adj[j, i] = hit
+    return adj
+
+
+def reference_margin(body: ConvexBody, p1: Placement, p2: Placement) -> float:
+    """Smallest slab distance of c2 - c1 to the difference polygon's edges."""
+    verts = np.array(difference_polygon(body, p1.scale, p2.scale).vertices)
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    delta = np.subtract(p2.center, p1.center)
+    return float((np.einsum("ij,ij->i", normals, verts) - normals @ delta).min())
+
+
+def tangent_mixed_squares() -> Family:
+    """Squares of scales 0.5, 1 and 1.5 on a quarter lattice: many pairs touch
+    exactly, in binary floating point too."""
+    rng = np.random.default_rng(0)
+    centers = rng.integers(0, 12, size=(60, 2)) / 4.0
+    scales = rng.integers(1, 4, size=60) / 2.0
+    return Family(body=SQUARE_POLYGON, placements=tuple(
+        Placement(tuple(c), float(s)) for c, s in zip(centers, scales)))
+
+
+GRID_BODIES = {
+    "triangle": TRIANGLE, "regular-pentagon": REGULAR_PENTAGON,
+    "irregular-pentagon": IRREGULAR_PENTAGON, "square-polygon": SQUARE_POLYGON,
+    "box": ConvexBody.box((1.0, 2.0)), "disk": ConvexBody.disk(),
+}
+MIXED_BODIES = {"triangle": TRIANGLE, "irregular-pentagon": IRREGULAR_PENTAGON}
+
+
+class TestSupportKernel:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", sorted(GRID_BODIES))
+    def test_tangent_grid_matches_difference_polygon(self, name, m):
+        family = grid_family(GRID_BODIES[name], m)
+        adj = pairwise_adjacency(family.body, family.centers(), family.scales())
+        expected = reference_adjacency(family)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(adj, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pentagon_family_matches_difference_polygon(self, k):
+        family = pentagon_family(k)
+        adj = pairwise_adjacency(family.body, family.centers(), family.scales())
+        assert np.array_equal(adj, reference_adjacency(family))
+
+    def test_tangent_mixed_scales_match_difference_polygon(self):
+        family = tangent_mixed_squares()
+        adj = pairwise_adjacency(family.body, family.centers(), family.scales())
+        assert np.array_equal(adj, reference_adjacency(family))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(MIXED_BODIES))
+    def test_mixed_scales_match_difference_polygon(self, name, seed):
+        body = MIXED_BODIES[name]
+        family = random_family(body, 40, (0.0, 5.0), scale_range=(0.3, 2.0), seed=seed,
+                               margin=0.0)
+        adj = pairwise_adjacency(body, family.centers(), family.scales())
+        assert np.array_equal(adj, reference_adjacency(family))
+        pl = family.placements
+        for i in range(len(pl)):
+            for j in range(len(pl)):
+                if i != j:
+                    assert pair_margin(body, pl[i], pl[j]) == pytest.approx(
+                        reference_margin(body, pl[i], pl[j]), abs=1e-12)
+                    assert homothets_intersect(body, pl[i], pl[j]) == adj[i, j]
+
+    def test_empty_family(self, triangle):
+        assert pairwise_adjacency(triangle, np.zeros((0, 2)), np.zeros(0)).shape == (0, 0)
+
+
+# family_digest of random_family(body, 40, (0, 6), scale_range, seed) as
+# generated by the per-pair pair_margin loop the one-call check replaced
+RANDOM_FAMILY_DIGESTS = {
+    ("triangle", 0): "01e7838d3917d20812c2fd548969abb8859772b9ce89ee87e815b60e73c35d65",
+    ("triangle", 1): "00ef5b813cc3a168242086d379c3174dc2d7a3006266315702987465270aeb45",
+    ("triangle", 2): "f62e154c0a0a8f81c4282561d171049719bf1f90e5232ce74945dbe8003ff365",
+    ("disk", 0): "a412aea7f777e8e0c8087c19ac6e3540e0591655e4a6e14c0c7bcdf349d8cce8",
+    ("disk", 1): "0e112b05f1b2c3b23956aad7724f1026f2f5d77cb45b547cede5c6e46471b7a4",
+    ("disk", 2): "1b4b2aa4f0f5e33b688585185338e56ffcb5eb810c38684680e009dbdb2fa392",
+    ("square", 0): "3e86be22c4a9ec3fbe545a675163c5bac596e4c434d91fb907a82163f3faccec",
+    ("square", 1): "9b49cfeba5efd66a9cfec2178926f493eccec54487bb3aa75f9f61bdd57bdcca",
+    ("square", 2): "7887e07f639d5e892d4f6b99141a381b0e5c1b4a921227ce6c6b7d9a084dc0e2",
+}
+
+
+@pytest.mark.parametrize("body_name,seed", sorted(RANDOM_FAMILY_DIGESTS))
+def test_random_family_bytes_are_pinned(body_name, seed):
+    body, scale_range = {
+        "triangle": (TRIANGLE, (0.3, 2.0)),
+        "disk": (ConvexBody.disk(), (0.3, 2.0)),
+        "square": (ConvexBody.unit_square(), (1.0, 1.0)),
+    }[body_name]
+    family = random_family(body, 40, (0.0, 6.0), scale_range=scale_range, seed=seed)
+    assert family_digest(family) == RANDOM_FAMILY_DIGESTS[body_name, seed]

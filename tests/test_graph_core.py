@@ -66,6 +66,38 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             IntersectionGraph(member_count=2, rows=(1, 0))  # asymmetric
 
+    @pytest.mark.parametrize("rows", [
+        (0b010, 0b000, 0b000),     # 0 -> 1 without 1 -> 0
+        (0b000, 0b000, 0b010),     # 2 -> 1 without 1 -> 2
+        (0b001, 0b000, 0b000),     # a self-loop
+        (0b1010, 0b0001, 0b0000),  # a bit past the member count
+    ], ids=["asymmetric-forward", "asymmetric-backward", "reflexive", "oversized"])
+    def test_invalid_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            IntersectionGraph(member_count=3, rows=rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 131])
+    def test_from_matrix_rows_match_the_bit_formula(self, n):
+        adj = random_graph(n, n, p=0.3)
+        adj[np.diag_indices(n)] = True   # the diagonal is ignored
+        rows = tuple(sum(1 << j for j in range(n) if adj[i, j] and j != i) for i in range(n))
+        assert IntersectionGraph.from_matrix(adj).rows == rows
+        assert IntersectionGraph.from_matrix(adj.astype(int)).rows == rows
+
+    def test_subgraph_is_the_induced_matrix(self):
+        adj = random_graph(5, 40, p=0.3)
+        members = [int(v) for v in np.random.default_rng(6).permutation(40)[:17]]
+        sub = IntersectionGraph.from_matrix(adj).subgraph(members)
+        assert sub.rows == IntersectionGraph.from_matrix(adj[np.ix_(members, members)]).rows
+
+    def test_from_matrix_rejects_asymmetric_and_non_square(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 2] = True
+        with pytest.raises(ValueError):
+            IntersectionGraph.from_matrix(adj)
+        with pytest.raises(ValueError):
+            IntersectionGraph.from_matrix(np.zeros((3, 4), dtype=bool))
+
 
 class TestMaxClique:
     def test_c5(self):

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+from convex_chroma import homothet_coloring
 from convex_chroma.constructions import random_family
-from convex_chroma.covering import BOUNDARY_SAMPLES, known_certificate
+from convex_chroma.covering import BOUNDARY_SAMPLES, CoveringCertificate, known_certificate
 from convex_chroma.families import Family, translates
 from convex_chroma.geometry import (
     ConvexBody,
@@ -12,6 +15,7 @@ from convex_chroma.geometry import (
     symmetrize,
 )
 from convex_chroma.graph_core import (
+    ConsistencyError,
     build_graph,
     clique_cover_number,
     max_clique,
@@ -140,6 +144,44 @@ class TestPiercing:
         fam = translates(unit_square, [(0, 0)])
         with pytest.raises(ValueError):
             pierce_intersecting_smallest(fam, [], square_cert)
+
+
+def far_certificate(body: ConvexBody) -> CoveringCertificate:
+    """A certificate whose one translation pierces no member near the origin."""
+    return CoveringCertificate(target=body, unit=body, translations=((1e3, 1e3),), kappa_ub=1)
+
+
+class TestPiercingFallback:
+    @pytest.mark.parametrize("body", [ConvexBody.disk(),
+                                      ConvexBody.polygon([(0, 0), (1, 0), (0, 1)])],
+                             ids=["disk", "triangle"])
+    def test_far_certificate_falls_back_on_every_member(self, body):
+        fam = random_family(body, 20, (0, 5), scale_range=(0.5, 2), seed=9)
+        g = build_graph(fam)
+        cert = far_certificate(body)
+        smallest = size_order(fam).order[0]
+        sub = [i for i in range(20) if i == smallest or g.adjacent(smallest, i)]
+        piercing = pierce_intersecting_smallest(fam, sub, cert)
+        assert piercing.fallback_used and 0 not in piercing.assignment
+        rep = clique_partition_homothets(fam, cert, graph=g)
+        assert rep.fallback_used
+        assert verify_clique_partition(g, list(rep.classes_assign))
+
+    def test_member_missing_its_seed_point_raises(self, triangle, monkeypatch):
+        calls = 0
+
+        def rejects_everything(body, center, scale, pts):
+            nonlocal calls
+            calls += 1
+            assert calls < 1000, "the fallback loop makes no progress"
+            return np.zeros(len(pts), dtype=bool)
+
+        monkeypatch.setattr(homothet_coloring, "_member_contains", rejects_everything)
+        fam = translates(triangle, [(0, 0), (0.2, 0.1), (0.1, 0.3)])
+        t0 = time.perf_counter()
+        with pytest.raises(ConsistencyError):
+            pierce_intersecting_smallest(fam, [0, 1, 2], far_certificate(triangle))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestCliquePartitionHomothets:
