@@ -30,13 +30,14 @@ from .covering import (
     known_certificate,
 )
 from .families import Family, dumps_family, family_digest, load_family
-from .geometry import ConvexBody, GeometryError, minkowski_sum, reflect
+from .geometry import ConvexBody, GeometryError, _shape, minkowski_sum, reflect
 from .graph_core import (
     SolveResult,
     SolverCaps,
     build_graph,
     chromatic_number,
     clique_cover_number,
+    compute_invariants,
     max_clique,
     max_independent_set,
     to_dimacs,
@@ -350,22 +351,19 @@ def family_svg(family: Family, colors: list[int] | None = None) -> str:
     hi = np.full(2, -np.inf)
     for i, (c, lam) in enumerate(zip(centers, scales)):
         fill = _SVG_PALETTE[colors[i] % len(_SVG_PALETTE)] if colors is not None else "none"
+        box_lo, box_hi = _shape(body).box(lam)
         if body.kind == "disk":
             shapes.append(
                 f'<circle cx="{c[0]:.6f}" cy="{c[1]:.6f}" r="{lam:.6f}" fill="{fill}" '
                 f'fill-opacity="0.55" stroke="black" stroke-width="0.02"/>'
             )
-            lo = np.minimum(lo, c - lam)
-            hi = np.maximum(hi, c + lam)
         elif body.kind == "box":
-            half = lam * np.asarray(body.sides) / 2.0
+            x, y = c + box_lo
+            w, h = box_hi - box_lo
             shapes.append(
-                f'<rect x="{c[0] - half[0]:.6f}" y="{c[1] - half[1]:.6f}" '
-                f'width="{2 * half[0]:.6f}" height="{2 * half[1]:.6f}" fill="{fill}" '
+                f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" fill="{fill}" '
                 f'fill-opacity="0.55" stroke="black" stroke-width="0.02"/>'
             )
-            lo = np.minimum(lo, c - half)
-            hi = np.maximum(hi, c + half)
         else:
             verts = lam * np.array(body.vertices) + c
             pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in verts)
@@ -373,8 +371,7 @@ def family_svg(family: Family, colors: list[int] | None = None) -> str:
                 f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.55" '
                 f'stroke="black" stroke-width="0.02"/>'
             )
-            lo = np.minimum(lo, verts.min(axis=0))
-            hi = np.maximum(hi, verts.max(axis=0))
+        lo, hi = np.minimum(lo, c + box_lo), np.maximum(hi, c + box_hi)
     if not len(shapes):
         lo, hi = np.zeros(2), np.ones(2)
     pad = 0.05 * float((hi - lo).max() or 1.0)
@@ -391,13 +388,10 @@ def family_svg(family: Family, colors: list[int] | None = None) -> str:
 
 def family_csv(family: Family, caps: SolverCaps) -> str:
     g = build_graph(family)
+    inv = compute_invariants(g, caps)
     rows = ["invariant,value,capped,lower,upper"]
-    for name, res in (
-        ("omega", max_clique(g, cap=caps.omega)),
-        ("alpha", max_independent_set(g, cap=caps.omega)),
-        ("chi", chromatic_number(g, cap=caps.chi)),
-        ("theta", clique_cover_number(g, cap=caps.chi)),
-    ):
+    for name in ("omega", "alpha", "chi", "theta"):
+        res = getattr(inv, name)
         rows.append(
             f"{name},{'' if res.value is None else res.value},{res.capped},"
             f"{'' if res.lower is None else res.lower},{'' if res.upper is None else res.upper}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, translates
-from .geometry import ConvexBody, Placement, homothet_margins, pairwise_adjacency
+from .geometry import ConvexBody, Placement, _shape, homothet_margins, pairwise_adjacency
 from .graph_core import SolverCaps, build_graph, clique_cover_number, max_clique
 
 GRID_MEMBER_CAP = 4096
@@ -160,68 +160,6 @@ class DensityReport:
     domain_measure: float
 
 
-def _clip_polygon_area(verts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Sutherland-Hodgman clip of a convex polygon to a box, then shoelace."""
-    poly = [tuple(v) for v in verts]
-    planes = [
-        (np.array([1.0, 0.0]), hi[0]),
-        (np.array([-1.0, 0.0]), -lo[0]),
-        (np.array([0.0, 1.0]), hi[1]),
-        (np.array([0.0, -1.0]), -lo[1]),
-    ]
-    for normal, offset in planes:
-        if not poly:
-            return 0.0
-        out = []
-        for idx in range(len(poly)):
-            cur = np.asarray(poly[idx])
-            nxt = np.asarray(poly[(idx + 1) % len(poly)])
-            cur_in = normal @ cur <= offset
-            nxt_in = normal @ nxt <= offset
-            if cur_in:
-                out.append(tuple(cur))
-            if cur_in != nxt_in:
-                t = (offset - normal @ cur) / (normal @ (nxt - cur))
-                out.append(tuple(cur + t * (nxt - cur)))
-        poly = out
-    if len(poly) < 3:
-        return 0.0
-    arr = np.array(poly)
-    x, y = arr[:, 0], arr[:, 1]
-    return float(abs(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
-def _disk_box_area(center: np.ndarray, radius: float, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Area of disk-box intersection by adaptive quadrature (1e-6 relative)."""
-    from scipy.integrate import quad
-
-    a = max(lo[0], center[0] - radius)
-    b = min(hi[0], center[0] + radius)
-    if a >= b:
-        return 0.0
-
-    def height(x: float) -> float:
-        dy = math.sqrt(max(radius * radius - (x - center[0]) ** 2, 0.0))
-        return max(0.0, min(hi[1], center[1] + dy) - max(lo[1], center[1] - dy))
-
-    value, _ = quad(height, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
-    return float(value)
-
-
-def _member_clipped_measure(body: ConvexBody, placement: Placement,
-                            lo: np.ndarray, hi: np.ndarray) -> float:
-    center = np.asarray(placement.center)
-    lam = placement.scale
-    if body.kind == "box":
-        half = lam * np.asarray(body.sides) / 2.0
-        overlap = np.minimum(hi, center + half) - np.maximum(lo, center - half)
-        return float(np.prod(np.maximum(overlap, 0.0)))
-    if body.kind == "disk":
-        return _disk_box_area(center, lam, lo, hi)
-    verts = lam * np.array(body.vertices) + center
-    return _clip_polygon_area(verts, lo, hi)
-
-
 def density(family: Family, domain_lo, domain_hi) -> DensityReport:
     """Packing density of the family relative to the box [lo, hi]:
     sum of clipped member measures over the domain measure."""
@@ -229,8 +167,9 @@ def density(family: Family, domain_lo, domain_hi) -> DensityReport:
     hi = np.asarray(domain_hi, dtype=float)
     if lo.shape != hi.shape or (hi <= lo).any():
         raise ValueError("domain box must have positive extent on every axis")
+    shape = _shape(family.body)
     measures = tuple(
-        _member_clipped_measure(family.body, p, lo, hi) for p in family.placements
+        shape.clipped_measure(np.asarray(p.center), p.scale, lo, hi) for p in family.placements
     )
     domain_measure = float(np.prod(hi - lo))
     return DensityReport(

@@ -7,6 +7,11 @@ disk centered at the origin, and axis-parallel boxes in any dimension
 is ``scale * body + center`` given by a Placement. All values are immutable;
 every operation is a pure function.
 
+Every per-kind formula sits behind one private shape interface: `_shape(body)`
+(cached per body) is a `_Polygon`, a `_Disk` or a `_Box`; their base `_Shape`
+holds the defaults of the two centrally symmetric bodies. Outside
+(de)serialization, `_shape` is the one place that reads `kind`.
+
 One rule decides every homothet pair: lam1*C + c1 and lam2*C + c2 meet iff
 u.(c2 - c1) <= lam1*h_C(u) + lam2*h_C(-u) + TOL for every facet normal u of
 C and of -C (the facet normals of the Minkowski sum lam1*C + lam2*(-C)), with
@@ -15,14 +20,17 @@ h_C the support function; the disk and the box are its closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
 TOL = 1e-9
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class GeometryError(ValueError):
@@ -70,9 +78,7 @@ class ConvexBody:
 
     @property
     def dimension(self) -> int:
-        if self.kind == "box":
-            return len(self.sides)
-        return 2
+        return _shape(self).dimension
 
     def to_json(self) -> dict:
         if self.kind == "polygon2d":
@@ -138,11 +144,21 @@ def _validate_polygon(verts: tuple[tuple[float, float], ...]) -> None:
             )
 
 
-@lru_cache(maxsize=4096)
-def _poly_array(body: ConvexBody) -> np.ndarray:
-    arr = np.array(body.vertices, dtype=float)
-    arr.setflags(write=False)
-    return arr
+def halton(count: int, dims: int, start: int = 0) -> np.ndarray:
+    """First `count` points of the unscrambled Halton sequence (offset start)."""
+    if dims > len(_PRIMES):
+        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    idx = np.arange(start + 1, start + count + 1, dtype=np.int64)
+    out = np.zeros((count, dims))
+    for d in range(dims):
+        base = _PRIMES[d]
+        i = idx.copy()
+        f = 1.0
+        while i.any():
+            f /= base
+            out[:, d] += f * (i % base)
+            i //= base
+    return out
 
 
 def _edge_normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,60 +177,418 @@ def points_in_polygon(verts: np.ndarray, pts: np.ndarray, tol: float = TOL) -> n
     return (margins >= -tol).all(axis=1)
 
 
-class PointMargins:
-    """Signed containment margins of a fixed point set in translates
-    scale*C + v: >= 0 inside, the smallest slab distance."""
+_Margins = Callable[[np.ndarray], np.ndarray]
 
-    def __init__(self, body: ConvexBody, scale: float, pts: np.ndarray):
-        self.body = body
-        self.scale = scale
-        self.pts = pts
-        if body.kind == "polygon2d":
-            normals, offsets = _edge_normals(_poly_array(body))
-            self._normals = normals
-            self._scaled_offsets = scale * offsets
-            self._projected = pts @ normals.T
-        elif body.kind == "box":
-            self._half = scale * np.asarray(body.sides) / 2.0
 
-    def margins(self, v: np.ndarray) -> np.ndarray:
-        if self.body.kind == "disk":
-            return self.scale - np.linalg.norm(self.pts - v, axis=1)
-        if self.body.kind == "box":
-            return (self._half - np.abs(self.pts - v)).min(axis=1)
-        shift = self._scaled_offsets + self._normals @ v
-        return (shift[None, :] - self._projected).min(axis=1)
+class _Shape:
+    """The math of one body; the defaults are those of the symmetric disk and
+    box.  Methods that return a body return the caller's, never a cached equal."""
+
+    dimension = 2
+
+    def width(self, d: np.ndarray) -> float:
+        return self.support(d) + self.support(-d)
+
+    def reflect(self, body: ConvexBody) -> ConvexBody:
+        return body
+
+    def symmetrize(self, body: ConvexBody) -> ConvexBody:
+        return body
+
+    def box(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Corners lo, hi of the axis-parallel box of scale*C, from h_C(-+e_i)."""
+        eye = np.eye(self.dimension)
+        return (np.array([-scale * self.support(-e) for e in eye]),
+                np.array([scale * self.support(e) for e in eye]))
+
+    def known_cover(self, body: ConvexBody) -> tuple | None:
+        """(target, target_scale, translations) of a known cover of C - C by C, or None."""
+        return None
+
+    def centroid(self, scale: float) -> np.ndarray:
+        return np.zeros(self.dimension)
+
+    def seed_point(self) -> np.ndarray:
+        """A point of C, pierced by the fallback of the clique partition."""
+        return np.zeros(self.dimension)
+
+    def corners(self, center: np.ndarray, scale: float) -> list[np.ndarray]:
+        """Piercing candidates tried before the certificate's points."""
+        return []
+
+
+class _Polygon(_Shape):
+    def __init__(self, vertices):
+        self.verts = np.array(vertices, dtype=float)
+        self.verts.setflags(write=False)
+
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """C's own unit facet normals and offsets; containment uses these."""
+        out = _edge_normals(self.verts)
+        for arr in out:
+            arr.setflags(write=False)  # cached: shared by every caller
+        return out
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The unit facet normals u of C - C (those of C and of -C, parallel
+        ones merged) with h_C(u) and h_C(-u) for each."""
+        normals, _ = self.facets
+        merged: list[np.ndarray] = []
+        for u in np.vstack([normals, -normals]):
+            if not any(u @ w > 0 and abs(u[0] * w[1] - u[1] * w[0]) < TOL for w in merged):
+                merged.append(u)
+        table = np.array(merged)
+        proj = self.verts @ table.T
+        out = (table, proj.max(axis=0), -proj.min(axis=0))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    def support(self, d: np.ndarray) -> float:
+        return float((self.verts @ d).max())
+
+    def area(self) -> float:
+        x, y = self.verts[:, 0], self.verts[:, 1]
+        return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+    def reflect(self, body: ConvexBody) -> ConvexBody:
+        # negation is a 180-degree rotation, so CCW order is preserved
+        return ConvexBody(kind="polygon2d", vertices=tuple((-x, -y) for x, y in body.vertices))
+
+    def scale(self, body: ConvexBody, factor: float) -> ConvexBody:
+        return ConvexBody(
+            kind="polygon2d", vertices=tuple((factor * x, factor * y) for x, y in body.vertices)
+        )
+
+    def symmetrize(self, body: ConvexBody) -> ConvexBody:
+        diff = minkowski_sum(body, self.reflect(body))
+        return ConvexBody.polygon([(0.5 * x, 0.5 * y) for x, y in diff.vertices])
+
+    def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
+        normals, offsets = self.facets
+        scaled_offsets, projected = scale * offsets, pts @ normals.T
+        return lambda v: ((scaled_offsets + normals @ v)[None, :] - projected).min(axis=1)
+
+    def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
+        normals, h_pos, h_neg = self.table
+        return (scales[:, None] * h_pos + scale * h_neg - delta @ normals.T).min(axis=1)
+
+    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+        normals, h_pos, h_neg = self.table
+        dx = centers[None, :, 0] - centers[:, None, 0]
+        dy = centers[None, :, 1] - centers[:, None, 1]
+        adj = np.ones(dx.shape, dtype=bool)
+        for (ux, uy), hp, hm in zip(normals, h_pos, h_neg):
+            adj &= ux * dx + uy * dy <= (scales * hp + tol)[:, None] + (scales * hm)[None, :]
+        return adj
+
+    def parallelogram_fit(self) -> ParallelogramFit:
+        best: ParallelogramFit | None = None
+        for d1, d2 in self._direction_pairs():
+            fit = self._fit_for_pair(d1, d2)
+            if fit is not None and (best is None or fit.ratio < best.ratio):
+                best = fit
+        if best is None or best.ratio > 2.0 + 1e-6:
+            got = "none" if best is None else f"{best.ratio:.9f}"
+            raise FitSearchError(f"no inscribed parallelogram with ratio <= 2 found (best {got})")
+        c, u, v = (np.asarray(p) for p in (best.center, best.u, best.v))
+        corners = np.array([c + a * u + b * v for a in (-1, 1) for b in (-1, 1)])
+        if not points_in_polygon(self.verts, corners, tol=1e-6).all():
+            raise FitSearchError("inscribed parallelogram verification failed")
+        return best
+
+    def _direction_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Candidate edge-direction pairs: polygon edges plus a 360-step sweep."""
+        dirs: list[np.ndarray] = []
+
+        def push(d):
+            d = d / np.linalg.norm(d)
+            if d[1] < 0 or (d[1] == 0 and d[0] < 0):
+                d = -d  # canonical representative mod pi
+            for e in dirs:
+                if abs(e[0] * d[1] - e[1] * d[0]) < 1e-9:
+                    return
+            dirs.append(d)
+
+        for e in np.roll(self.verts, -1, axis=0) - self.verts:
+            push(e)
+        n_edge = len(dirs)
+        pairs = [(dirs[i], dirs[j]) for i in range(n_edge) for j in range(i + 1, n_edge)]
+        step = 2 * math.pi / 360
+        for k in range(90):
+            t = k * step
+            pairs.append(
+                (np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)]))
+            )
+        return pairs
+
+    def _fit_for_pair(self, d1: np.ndarray, d2: np.ndarray) -> ParallelogramFit | None:
+        """Largest inscribed parallelogram with edge directions d1, d2, by LP.
+
+        With slab normals n1 ⟂ d2 and n2 ⟂ d1, fix half-edge vectors u1, v1 whose
+        slab widths equal the body's widths; then maximize s subject to the four
+        parallelogram vertices t ± s*u1 ± s*v1 staying inside the body.  The
+        containment ratio of the optimum is exactly 1/s.
+        """
+        from scipy.optimize import linprog
+
+        sin = abs(d1[0] * d2[1] - d1[1] * d2[0])
+        if sin < 0.05:
+            return None
+        n1 = np.array([-d2[1], d2[0]])
+        if n1 @ d1 < 0:
+            n1 = -n1
+        n2 = np.array([-d1[1], d1[0]])
+        if n2 @ d2 < 0:
+            n2 = -n2
+        u1 = (self.width(n1) / 2.0) * d1 / float(d1 @ n1)
+        v1 = (self.width(n2) / 2.0) * d2 / float(d2 @ n2)
+
+        normals, offsets = self.facets
+        grow = np.abs(normals @ u1) + np.abs(normals @ v1)
+        res = linprog(
+            c=[0.0, 0.0, -1.0],
+            A_ub=np.column_stack([normals, grow]),
+            b_ub=offsets,
+            bounds=[(None, None), (None, None), (0.0, 1.0)],
+            method="highs",
+        )
+        if not res.success or res.x[2] < 1e-9:
+            return None
+        t = res.x[:2]
+        s = float(res.x[2])
+        return ParallelogramFit(
+            center=(float(t[0]), float(t[1])),
+            u=(float(s * u1[0]), float(s * u1[1])),
+            v=(float(s * v1[0]), float(s * v1[1])),
+            ratio=1.0 / s,
+        )
+
+    def boundary_points(self, scale: float, count: int) -> np.ndarray:
+        verts = scale * self.verts
+        nxt = np.roll(verts, -1, axis=0)
+        seg = np.linalg.norm(nxt - verts, axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        t = cum[-1] * (np.arange(count) + 0.5) / count
+        idx = np.searchsorted(cum, t, side="right") - 1
+        frac = (t - cum[idx]) / seg[idx]
+        return verts[idx] + frac[:, None] * (nxt[idx] - verts[idx])
+
+    def chebyshev_ball(self, scale: float) -> tuple[np.ndarray, float]:
+        """Center and radius of the largest ball inside scale*C."""
+        from scipy.optimize import linprog
+
+        normals, offsets = self.facets
+        res = linprog(
+            c=[0.0, 0.0, -1.0],
+            A_ub=np.column_stack([normals, np.ones(len(normals))]),
+            b_ub=scale * offsets,
+            bounds=[(None, None), (None, None), (0, None)],
+            method="highs",
+        )
+        if not res.success:
+            raise GeometryError("inscribed-ball LP failed")
+        return res.x[:2].copy(), float(res.x[2])
+
+    def centroid(self, scale: float) -> np.ndarray:
+        verts = scale * self.verts
+        x, y = verts[:, 0], verts[:, 1]
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        a = cross.sum() / 2.0
+        return np.array([((x + xn) * cross).sum() / (6 * a), ((y + yn) * cross).sum() / (6 * a)])
+
+    def seed_point(self) -> np.ndarray:
+        return self.verts.mean(axis=0)
+
+    def clipped_measure(self, center: np.ndarray, scale: float,
+                        lo: np.ndarray, hi: np.ndarray) -> float:
+        """Area of scale*C + center inside the box [lo, hi]: Sutherland-Hodgman
+        clipping, then the shoelace formula."""
+        poly = [tuple(v) for v in scale * self.verts + center]
+        planes = [
+            (np.array([1.0, 0.0]), hi[0]),
+            (np.array([-1.0, 0.0]), -lo[0]),
+            (np.array([0.0, 1.0]), hi[1]),
+            (np.array([0.0, -1.0]), -lo[1]),
+        ]
+        for normal, offset in planes:
+            if not poly:
+                return 0.0
+            out = []
+            for idx in range(len(poly)):
+                cur = np.asarray(poly[idx])
+                nxt = np.asarray(poly[(idx + 1) % len(poly)])
+                cur_in = normal @ cur <= offset
+                nxt_in = normal @ nxt <= offset
+                if cur_in:
+                    out.append(tuple(cur))
+                if cur_in != nxt_in:
+                    t = (offset - normal @ cur) / (normal @ (nxt - cur))
+                    out.append(tuple(cur + t * (nxt - cur)))
+            poly = out
+        if len(poly) < 3:
+            return 0.0
+        arr = np.array(poly)
+        x, y = arr[:, 0], arr[:, 1]
+        return float(abs(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+class _Disk(_Shape):
+    def support(self, d: np.ndarray) -> float:
+        return float(np.linalg.norm(d))
+
+    def area(self) -> float:
+        return math.pi
+
+    def scale(self, body: ConvexBody, factor: float) -> ConvexBody:
+        raise GeometryError("the disk has a fixed unit radius; scale via Placement instead")
+
+    def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
+        return lambda v: scale - np.linalg.norm(pts - v, axis=1)
+
+    def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
+        return scales + scale - np.linalg.norm(delta, axis=1)
+
+    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+        return d <= scales[:, None] + scales[None, :] + tol
+
+    def parallelogram_fit(self) -> ParallelogramFit:
+        return ParallelogramFit(center=(0.0, 0.0), u=(0.5, 0.5), v=(0.5, -0.5), ratio=math.sqrt(2.0))
+
+    def boundary_points(self, scale: float, count: int) -> np.ndarray:
+        t = 2 * math.pi * (np.arange(count) + 0.5) / count
+        return scale * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def known_cover(self, body: ConvexBody) -> tuple | None:
+        ring = [
+            (math.sqrt(3.0) * math.cos(k * math.pi / 3), math.sqrt(3.0) * math.sin(k * math.pi / 3))
+            for k in range(6)
+        ]
+        return body, 2.0, tuple([(0.0, 0.0)] + ring)
+
+    def chebyshev_ball(self, scale: float) -> tuple[np.ndarray, float]:
+        return np.zeros(2), scale
+
+    def clipped_measure(self, center: np.ndarray, scale: float,
+                        lo: np.ndarray, hi: np.ndarray) -> float:
+        """Area of the disk inside the box by adaptive quadrature (1e-6 relative)."""
+        from scipy.integrate import quad
+
+        a = max(lo[0], center[0] - scale)
+        b = min(hi[0], center[0] + scale)
+        if a >= b:
+            return 0.0
+
+        def height(x: float) -> float:
+            dy = math.sqrt(max(scale * scale - (x - center[0]) ** 2, 0.0))
+            return max(0.0, min(hi[1], center[1] + dy) - max(lo[1], center[1] - dy))
+
+        value, _ = quad(height, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
+        return float(value)
+
+
+class _Box(_Shape):
+    def __init__(self, sides: tuple[float, ...]):
+        self.sides = sides
+        self.half = np.asarray(sides) / 2.0
+        self.dimension = len(sides)
+
+    def support(self, d: np.ndarray) -> float:
+        return float(np.abs(d) @ self.half)
+
+    def area(self) -> float:
+        return float(np.prod(self.sides))
+
+    def scale(self, body: ConvexBody, factor: float) -> ConvexBody:
+        return ConvexBody.box(tuple(factor * s for s in body.sides))
+
+    def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
+        half = scale * np.asarray(self.sides) / 2.0
+        return lambda v: (half - np.abs(pts - v)).min(axis=1)
+
+    def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
+        half = (scales + scale)[:, None] * np.asarray(self.sides) / 2.0
+        return (half - np.abs(delta)).min(axis=1)
+
+    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+        gap = np.abs(centers[:, None, :] - centers[None, :, :]) - (
+            scales[:, None] + scales[None, :]
+        )[:, :, None] * self.half[None, None, :]
+        return (gap <= tol).all(axis=2)
+
+    def parallelogram_fit(self) -> ParallelogramFit:
+        if self.dimension != 2:
+            raise GeometryError("inscribed_parallelogram expects a 2D body")
+        s1, s2 = self.sides
+        return ParallelogramFit(center=(0.0, 0.0), u=(s1 / 2.0, 0.0), v=(0.0, s2 / 2.0), ratio=1.0)
+
+    def boundary_points(self, scale: float, count: int) -> np.ndarray:
+        n = self.dimension
+        half = scale * np.asarray(self.sides) / 2.0
+        free = halton(count, max(n - 1, 1))
+        pts = np.zeros((count, n))
+        for k in range(count):
+            axis, side = divmod(k % (2 * n), 2)
+            others = [a for a in range(n) if a != axis]
+            pts[k, axis] = half[axis] if side == 0 else -half[axis]
+            for slot, a in enumerate(others):
+                pts[k, a] = (2 * free[k, slot % free.shape[1]] - 1) * half[a]
+        return pts
+
+    def known_cover(self, body: ConvexBody) -> tuple | None:
+        half = [s / 2.0 for s in self.sides]
+        translations = tuple(
+            tuple(sign * h for sign, h in zip(signs, half))
+            for signs in itertools.product((-1.0, 1.0), repeat=len(half))
+        )
+        return ConvexBody.box(tuple(2 * s for s in self.sides)), 1.0, translations
+
+    def chebyshev_ball(self, scale: float) -> tuple[np.ndarray, float]:
+        return np.zeros(self.dimension), scale * min(self.sides) / 2.0
+
+    def corners(self, center: np.ndarray, scale: float) -> list[np.ndarray]:
+        half = scale * np.asarray(self.sides) / 2.0
+        n = self.dimension
+        return [
+            center + np.array([1.0 if (mask >> d) & 1 else -1.0 for d in range(n)]) * half
+            for mask in range(1 << n)
+        ]
+
+    def clipped_measure(self, center: np.ndarray, scale: float,
+                        lo: np.ndarray, hi: np.ndarray) -> float:
+        half = scale * np.asarray(self.sides) / 2.0
+        overlap = np.minimum(hi, center + half) - np.maximum(lo, center - half)
+        return float(np.prod(np.maximum(overlap, 0.0)))
+
+
+@lru_cache(maxsize=4096)
+def _shape(body: ConvexBody) -> _Shape:
+    """The shape of a body, built once per distinct body."""
+    if body.kind == "polygon2d":
+        return _Polygon(body.vertices)
+    if body.kind == "disk":
+        return _Disk()
+    return _Box(body.sides)
 
 
 def area(body: ConvexBody) -> float:
     """Lebesgue measure of the body (area in 2D, volume for boxes)."""
-    if body.kind == "box":
-        return float(np.prod(body.sides))
-    if body.kind == "disk":
-        return math.pi
-    verts = _poly_array(body)
-    x, y = verts[:, 0], verts[:, 1]
-    return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return _shape(body).area()
 
 
 def reflect(body: ConvexBody) -> ConvexBody:
     """Reflection -C about the origin; boxes and disks are fixed points."""
-    if body.kind != "polygon2d":
-        return body
-    # negation is a 180-degree rotation, so CCW order is preserved
-    return ConvexBody(kind="polygon2d", vertices=tuple((-x, -y) for x, y in body.vertices))
+    return _shape(body).reflect(body)
 
 
 def scale_body(body: ConvexBody, factor: float) -> ConvexBody:
     if factor <= 0:
         raise GeometryError("scale factor must be positive")
-    if body.kind == "polygon2d":
-        return ConvexBody(
-            kind="polygon2d", vertices=tuple((factor * x, factor * y) for x, y in body.vertices)
-        )
-    if body.kind == "box":
-        return ConvexBody.box(tuple(factor * s for s in body.sides))
-    raise GeometryError("the disk has a fixed unit radius; scale via Placement instead")
+    return _shape(body).scale(body, factor)
 
 
 def _start_index(verts: np.ndarray) -> int:
@@ -239,7 +613,7 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     if len(a.vertices) < 3 or len(b.vertices) < 3:
         raise GeometryError("degenerate polygon in minkowski_sum")
 
-    va, vb = _poly_array(a), _poly_array(b)
+    va, vb = _shape(a).verts, _shape(b).verts
     ia, ib = _start_index(va), _start_index(vb)
     va = np.roll(va, -ia, axis=0)
     vb = np.roll(vb, -ib, axis=0)
@@ -281,24 +655,12 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
 
 def symmetrize(body: ConvexBody) -> ConvexBody:
     """Central symmetrization (C + (-C)) / 2; symmetric bodies are fixed points."""
-    if body.kind in ("disk", "box"):
-        return body
-    diff = minkowski_sum(body, reflect(body))
-    return ConvexBody.polygon([(0.5 * x, 0.5 * y) for x, y in diff.vertices])
+    return _shape(body).symmetrize(body)
 
 
 def support(body: ConvexBody, direction: np.ndarray) -> float:
     """Support function h_C(d) = max over C of <x, d> (d need not be unit)."""
-    if body.kind == "polygon2d":
-        return float((_poly_array(body) @ direction).max())
-    if body.kind == "disk":
-        return float(np.linalg.norm(direction))
-    half = np.asarray(body.sides) / 2.0
-    return float(np.abs(direction) @ half)
-
-
-def width(body: ConvexBody, direction: np.ndarray) -> float:
-    return support(body, direction) + support(body, -direction)
+    return _shape(body).support(direction)
 
 
 @lru_cache(maxsize=4096)
@@ -308,37 +670,13 @@ def difference_polygon(body: ConvexBody, lam1: float, lam2: float) -> ConvexBody
     return minkowski_sum(scale_body(body, lam1), scale_body(reflect(body), lam2))
 
 
-@lru_cache(maxsize=256)
-def _support_table(body: ConvexBody) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit facet normals u of C - C (those of C and of -C, parallel ones
-    merged) with h_C(u) and h_C(-u) for each; polygons only."""
-    verts = _poly_array(body)
-    normals, _ = _edge_normals(verts)
-    merged: list[np.ndarray] = []
-    for u in np.vstack([normals, -normals]):
-        if not any(u @ w > 0 and abs(u[0] * w[1] - u[1] * w[0]) < TOL for w in merged):
-            merged.append(u)
-    table = np.array(merged)
-    proj = verts @ table.T
-    out = (table, proj.max(axis=0), -proj.min(axis=0))
-    for arr in out:
-        arr.setflags(write=False)  # cached: shared by every caller
-    return out
-
-
 def homothet_margins(body: ConvexBody, centers: np.ndarray, scales: np.ndarray,
                      center: Sequence[float], scale: float) -> np.ndarray:
     """Signed tangency margin of scales[k]*C + centers[k] against scale*C +
     center for every k: > 0 strictly intersecting, < 0 strictly disjoint,
     magnitude (a lower bound on) the distance to the flip."""
     delta = np.asarray(center, dtype=float) - centers
-    if body.kind == "disk":
-        return scales + scale - np.linalg.norm(delta, axis=1)
-    if body.kind == "box":
-        half = (scales + scale)[:, None] * np.asarray(body.sides) / 2.0
-        return (half - np.abs(delta)).min(axis=1)
-    normals, h_pos, h_neg = _support_table(body)
-    return (scales[:, None] * h_pos + scale * h_neg - delta @ normals.T).min(axis=1)
+    return _shape(body).homothet_margins(delta, scales, scale)
 
 
 def homothets_intersect(
@@ -362,22 +700,7 @@ def pairwise_adjacency(
 ) -> np.ndarray:
     """Boolean intersection matrix of a whole family, irreflexive; polygons
     AND one n x n mask per facet normal of C - C."""
-    if body.kind == "disk":
-        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-        adj = d <= scales[:, None] + scales[None, :] + tol
-    elif body.kind == "box":
-        half = np.asarray(body.sides) / 2.0
-        gap = np.abs(centers[:, None, :] - centers[None, :, :]) - (
-            scales[:, None] + scales[None, :]
-        )[:, :, None] * half[None, None, :]
-        adj = (gap <= tol).all(axis=2)
-    else:
-        normals, h_pos, h_neg = _support_table(body)
-        dx = centers[None, :, 0] - centers[:, None, 0]
-        dy = centers[None, :, 1] - centers[:, None, 1]
-        adj = np.ones(dx.shape, dtype=bool)
-        for (ux, uy), hp, hm in zip(normals, h_pos, h_neg):
-            adj &= ux * dx + uy * dy <= (scales * hp + tol)[:, None] + (scales * hm)[None, :]
+    adj = _shape(body).adjacency(centers, scales, tol)
     np.fill_diagonal(adj, False)
     return adj | adj.T
 
@@ -397,88 +720,8 @@ def containment_ratio(body: ConvexBody, fit: ParallelogramFit) -> float:
         normal = np.array([-other[1], other[0]])
         normal /= np.linalg.norm(normal)
         w_p = 2.0 * abs(float(span @ normal))
-        ratios.append(width(body, normal) / w_p)
+        ratios.append(_shape(body).width(normal) / w_p)
     return max(ratios)
-
-
-def _direction_pairs(body: ConvexBody) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Candidate edge-direction pairs: polygon edges plus a 360-step sweep."""
-    dirs: list[np.ndarray] = []
-
-    def push(d):
-        d = d / np.linalg.norm(d)
-        if d[1] < 0 or (d[1] == 0 and d[0] < 0):
-            d = -d  # canonical representative mod pi
-        for e in dirs:
-            if abs(e[0] * d[1] - e[1] * d[0]) < 1e-9:
-                return
-        dirs.append(d)
-
-    verts = _poly_array(body)
-    edges = np.roll(verts, -1, axis=0) - verts
-    for e in edges:
-        push(e)
-    n_edge = len(dirs)
-    pairs = [
-        (dirs[i], dirs[j])
-        for i in range(n_edge)
-        for j in range(i + 1, n_edge)
-    ]
-    step = 2 * math.pi / 360
-    for k in range(90):
-        t = k * step
-        pairs.append(
-            (np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)]))
-        )
-    return pairs
-
-
-def _best_fit_for_pair(
-    body: ConvexBody, d1: np.ndarray, d2: np.ndarray
-) -> ParallelogramFit | None:
-    """Largest inscribed parallelogram with edge directions d1, d2, by LP.
-
-    With slab normals n1 ⟂ d2 and n2 ⟂ d1, fix half-edge vectors u1, v1 whose
-    slab widths equal the body's widths; then maximize s subject to the four
-    parallelogram vertices t ± s*u1 ± s*v1 staying inside the body.  The
-    containment ratio of the optimum is exactly 1/s.
-    """
-    from scipy.optimize import linprog
-
-    sin = abs(d1[0] * d2[1] - d1[1] * d2[0])
-    if sin < 0.05:
-        return None
-    n1 = np.array([-d2[1], d2[0]])
-    if n1 @ d1 < 0:
-        n1 = -n1
-    n2 = np.array([-d1[1], d1[0]])
-    if n2 @ d2 < 0:
-        n2 = -n2
-    w1 = width(body, n1)
-    w2 = width(body, n2)
-    u1 = (w1 / 2.0) * d1 / float(d1 @ n1)
-    v1 = (w2 / 2.0) * d2 / float(d2 @ n2)
-
-    normals, offsets = _edge_normals(_poly_array(body))
-    grow = np.abs(normals @ u1) + np.abs(normals @ v1)
-    a_ub = np.column_stack([normals, grow])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0.0, 1.0)],
-        method="highs",
-    )
-    if not res.success or res.x[2] < 1e-9:
-        return None
-    t = res.x[:2]
-    s = float(res.x[2])
-    return ParallelogramFit(
-        center=(float(t[0]), float(t[1])),
-        u=(float(s * u1[0]), float(s * u1[1])),
-        v=(float(s * v1[0]), float(s * v1[1])),
-        ratio=1.0 / s,
-    )
 
 
 @lru_cache(maxsize=256)
@@ -489,27 +732,4 @@ def inscribed_parallelogram(body: ConvexBody) -> ParallelogramFit:
     vertices (+-1,0),(0,+-1) (ratio sqrt(2)); polygons run the direction-pair
     search.  Failing to reach ratio 2 + 1e-6 raises FitSearchError.
     """
-    if body.kind == "box":
-        if body.dimension != 2:
-            raise GeometryError("inscribed_parallelogram expects a 2D body")
-        s1, s2 = body.sides
-        return ParallelogramFit(center=(0.0, 0.0), u=(s1 / 2.0, 0.0), v=(0.0, s2 / 2.0), ratio=1.0)
-    if body.kind == "disk":
-        return ParallelogramFit(center=(0.0, 0.0), u=(0.5, 0.5), v=(0.5, -0.5), ratio=math.sqrt(2.0))
-
-    best: ParallelogramFit | None = None
-    for d1, d2 in _direction_pairs(body):
-        fit = _best_fit_for_pair(body, d1, d2)
-        if fit is not None and (best is None or fit.ratio < best.ratio):
-            best = fit
-    if best is None or best.ratio > 2.0 + 1e-6:
-        got = "none" if best is None else f"{best.ratio:.9f}"
-        raise FitSearchError(f"no inscribed parallelogram with ratio <= 2 found (best {got})")
-    verts = _poly_array(body)
-    c = np.asarray(best.center)
-    u = np.asarray(best.u)
-    v = np.asarray(best.v)
-    corners = np.array([c + a * u + b * v for a in (-1, 1) for b in (-1, 1)])
-    if not points_in_polygon(verts, corners, tol=1e-6).all():
-        raise FitSearchError("inscribed parallelogram verification failed")
-    return best
+    return _shape(body).parallelogram_fit()

@@ -322,11 +322,13 @@ class GraphInvariants:
 
 
 def compute_invariants(g: IntersectionGraph, caps: SolverCaps = SolverCaps()) -> GraphInvariants:
+    omega = max_clique(g, cap=caps.omega)
+    alpha = max_independent_set(g, cap=caps.omega)
     inv = GraphInvariants(
-        omega=max_clique(g, cap=caps.omega),
-        alpha=max_independent_set(g, cap=caps.omega),
-        chi=chromatic_number(g, cap=caps.chi),
-        theta=clique_cover_number(g, cap=caps.chi),
+        omega=omega,
+        alpha=alpha,
+        chi=chromatic_number(g, cap=caps.chi, clique=omega),
+        theta=clique_cover_number(g, cap=caps.chi, independent=alpha),
     )
     if not inv.omega.capped and not _is_clique(g, inv.omega.witness):
         raise ConsistencyError("clique witness failed")

@@ -14,13 +14,13 @@ partition valid if verification ever fails, and the report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
 from .families import Family
-from .geometry import ConvexBody, GeometryError, PointMargins, _poly_array, scale_body, symmetrize
+from .geometry import ConvexBody, GeometryError, _shape, scale_body, symmetrize
 from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
@@ -57,23 +57,7 @@ class PiercingAssignment:
 
 
 def _member_contains(body: ConvexBody, center: np.ndarray, scale: float, pts: np.ndarray) -> np.ndarray:
-    return PointMargins(body, scale, pts).margins(center) >= -PIERCE_TOL
-
-
-def _interior_point(body: ConvexBody) -> np.ndarray:
-    if body.kind == "polygon2d":
-        return _poly_array(body).mean(axis=0)
-    return np.zeros(body.dimension)
-
-
-def _box_corners(body: ConvexBody, center: np.ndarray, scale: float) -> list[np.ndarray]:
-    half = scale * np.asarray(body.sides) / 2.0
-    corners = []
-    n = body.dimension
-    for mask in range(1 << n):
-        signs = np.array([1.0 if (mask >> d) & 1 else -1.0 for d in range(n)])
-        corners.append(center + signs * half)
-    return corners
+    return _shape(body).point_margins(scale, pts)(center) >= -PIERCE_TOL
 
 
 def pierce_intersecting_smallest(
@@ -98,9 +82,7 @@ def pierce_intersecting_smallest(
     p1 = centers[smallest]
     lam1 = scales[smallest]
 
-    candidates: list[np.ndarray] = []
-    if body.kind == "box":
-        candidates.extend(_box_corners(body, p1, lam1))
+    candidates = _shape(body).corners(p1, lam1)
     candidates.extend(p1 + lam1 * np.asarray(v) for v in cert.translations)
 
     cand = np.array(candidates)
@@ -113,7 +95,7 @@ def pierce_intersecting_smallest(
     fallback_used = len(assignment) < len(members)
     points = [tuple(float(x) for x in c) for c in candidates]
     if fallback_used:
-        seed_point = _interior_point(body)
+        seed_point = _shape(body).seed_point()
         unassigned = [i for i in sorted(members) if i not in assignment]
         while unassigned:
             m = min(unassigned, key=lambda i: (scales[i], i))
@@ -282,14 +264,4 @@ def color_translates_symmetrized(
         cert = symmetrized_certificate(family.body)
     k_family = Family(body=cert.unit, placements=family.placements, meta=dict(family.meta))
     report = color_homothets(k_family, cert, omega=omega, graph=graph)
-    return ColoringReport(
-        method="corollary1",
-        colors=report.colors,
-        colors_used=report.colors_used,
-        bound_value=report.bound_value,
-        bound_basis=report.bound_basis,
-        omega_used=report.omega_used,
-        kappa_ub=report.kappa_ub,
-        back_degree_max=report.back_degree_max,
-        seed=seed,
-    )
+    return replace(report, method="corollary1", seed=seed)

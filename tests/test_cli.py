@@ -194,6 +194,23 @@ def _count_calls(monkeypatch, names: list[str]) -> dict[str, int]:
     return counts
 
 
+def _exact_clique_values(monkeypatch) -> list[int]:
+    """Record the value of every exact max_clique result, from the CLI or
+    from inside graph_core."""
+    exact = []
+    original = graph_core.max_clique
+
+    def counted(g, cap=graph_core.DEFAULT_OMEGA_CAP):
+        res = original(g, cap=cap)
+        if not res.capped:
+            exact.append(res.value)
+        return res
+
+    monkeypatch.setattr(graph_core, "max_clique", counted)
+    monkeypatch.setattr(cli, "max_clique", counted)
+    return exact
+
+
 class TestRunContext:
     def test_translate_verify_builds_each_artefact_once(self, tmp_path, monkeypatch):
         fam = tmp_path / "t.json"
@@ -208,20 +225,18 @@ class TestRunContext:
     def test_verify_searches_omega_and_nu_once_each(self, tmp_path, monkeypatch):
         fam = tmp_path / "p3.json"
         assert run(["generate", "pentagon", "--k", "3", "--out", str(fam)]) == EXIT_OK
-        exact = []
-        original = graph_core.max_clique
-
-        def counted(g, cap=graph_core.DEFAULT_OMEGA_CAP):
-            res = original(g, cap=cap)
-            if not res.capped:
-                exact.append(res.value)
-            return res
-
-        monkeypatch.setattr(graph_core, "max_clique", counted)
-        monkeypatch.setattr(cli, "max_clique", counted)
+        exact = _exact_clique_values(monkeypatch)
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert sorted(exact) == [2, 6]  # nu = 2 and omega = 2k of C5[K_3]
+
+    def test_csv_export_searches_omega_and_alpha_once_each(self, tmp_path, monkeypatch):
+        fam = tmp_path / "p3.json"
+        assert run(["generate", "pentagon", "--k", "3", "--out", str(fam)]) == EXIT_OK
+        exact = _exact_clique_values(monkeypatch)
+        assert run(["export", "--in", str(fam), "--format", "csv",
+                    "--out", str(tmp_path / "inv.csv")]) == EXIT_OK
+        assert sorted(exact) == [2, 6]  # alpha = 2 and omega = 2k of C5[K_3]
 
     def test_homothet_verify_builds_the_certificate_once(self, tmp_path, monkeypatch):
         fam = tmp_path / "h.json"
@@ -288,6 +303,19 @@ class TestExport:
         assert lines[0] == "invariant,value,capped,lower,upper"
         values = {row.split(",")[0]: row.split(",")[1] for row in lines[1:]}
         assert values["omega"] == "9" and values["theta"] == "4"
+
+    def test_csv_capped_chi_and_theta_take_the_exact_omega_and_alpha(self, tmp_path):
+        # chi-cap < n <= omega-cap: the capped rows' lower bound is the exact
+        # omega (alpha), where a greedy clique gave 3 (5) before
+        fam = tmp_path / "r.json"
+        out = tmp_path / "inv.csv"
+        assert run(["generate", "random", "--body", "triangle", "--count", "12",
+                    "--window", "0,3", "--seed", "1", "--out", str(fam)]) == EXIT_OK
+        assert run(["export", "--in", str(fam), "--format", "csv", "--caps", "omega=100,chi=5",
+                    "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[1:5] == ["omega,4,False,,", "alpha,6,False,,",
+                             "chi,,True,4,4", "theta,,True,6,6"]
 
 
 class TestFamilyRoundTrip:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,6 +14,7 @@ from convex_chroma.covering import (
     verify_certificate,
 )
 from convex_chroma.geometry import ConvexBody, minkowski_sum, reflect
+from convex_chroma.homothet_coloring import symmetrized_certificate
 
 
 class TestHalton:
@@ -148,3 +150,45 @@ class TestCeilingReference:
         target = minkowski_sum(triangle, reflect(triangle))
         cert = cover_by_translates(target, triangle)
         assert 1 <= cert.kappa_ub <= difference_cover_ceiling(2)
+
+
+PIN_BODIES = {
+    "triangle": ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]),
+    "regular-pentagon": ConvexBody.polygon(
+        [(math.cos(0.3 + 2 * math.pi * k / 5), math.sin(0.3 + 2 * math.pi * k / 5))
+         for k in range(5)]
+    ),
+    "irregular-pentagon": ConvexBody.polygon([(0, 0), (2, 0), (2.5, 1), (1, 2), (-0.5, 1)]),
+    "thin-quadrilateral": ConvexBody.polygon([(0, 0), (3, 0.2), (3.1, 0.5), (0.2, 0.4)]),
+}
+# kappa_ub and sha256 of json.dumps([kappa_ub, translations]) of the
+# kappa(C-C, C) and kappa(2K, K) certificates at 20,000 samples, as built
+# before the per-body formulas moved behind geometry's shape interface.
+# These are sampled certificates: an exact cover check may change them, and
+# must then re-pin them on purpose.
+CERTIFICATE_PINS = {
+    "triangle": (
+        25, "8ab697c8ceec5d2e552eaffef16ee315730a3e7f1dde8ebb8e25aea81a2acfbb",
+        9, "ac849eac9f84831f992e421d6e4b2b6236ae2a96b650ca50c9d280c87dfba3f9"),
+    "regular-pentagon": (
+        12, "96662b4974af7682e5e1dfd4da4cdf0c9e8d821d9bf8dd801b6480f05df130f9",
+        12, "e3beddeea6d25b27b9106bccaa200afd068b87b3940db8995cbbee28a9ef729a"),
+    "irregular-pentagon": (
+        12, "f35f0c8f203f16dc5f21b7157f4aa680569e11a528b0c9f13e897d0328f46a4e",
+        11, "0eafb09ea5ec6b9ec9ec2da47cacf196138bca50d1321af032430816f1d259fd"),
+    "thin-quadrilateral": (
+        10, "49a4a044e994a06ce76865a6244c5c13128b2ef9de5bebf672113ee9180d5db9",
+        8, "3f5b456b7845efd3b99e2938c6deb8107451d1b723f1a61dd1e3c6c8f07f4968"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_PINS))
+def test_sampled_certificates_are_pinned(name):
+    body = PIN_BODIES[name]
+    difference = cover_by_translates(minkowski_sum(body, reflect(body)), body, samples=20_000)
+    symmetrized = symmetrized_certificate(body, samples=20_000)
+    got = []
+    for cert in (difference, symmetrized):
+        text = json.dumps([cert.kappa_ub, cert.translations])
+        got += [cert.kappa_ub, hashlib.sha256(text.encode()).hexdigest()]
+    assert tuple(got) == CERTIFICATE_PINS[name]

@@ -15,6 +15,7 @@ from convex_chroma.geometry import (
     area,
     containment_ratio,
     difference_polygon,
+    homothet_margins,
     homothets_intersect,
     inscribed_parallelogram,
     minkowski_sum,
@@ -23,6 +24,7 @@ from convex_chroma.geometry import (
     points_in_polygon,
     reflect,
     symmetrize,
+    _shape,
 )
 from conftest import cyclic_equal, hull_vertices, random_polygon
 
@@ -382,6 +384,47 @@ class TestSupportKernel:
 
     def test_empty_family(self, triangle):
         assert pairwise_adjacency(triangle, np.zeros((0, 2)), np.zeros(0)).shape == (0, 0)
+
+
+class TestSquareTwoWays:
+    """The unit square as polygon2d and as box((1, 1)) is one body, so the
+    polygon and the box formulas of every shape method must agree on it."""
+
+    BODIES = (SQUARE_POLYGON, ConvexBody.unit_square())
+
+    def test_support_area_box_and_ball_agree(self):
+        poly, box = (_shape(b) for b in self.BODIES)
+        for d in np.random.default_rng(0).normal(size=(20, 2)):
+            assert poly.support(d) == pytest.approx(box.support(d), abs=1e-12)
+        assert area(self.BODIES[0]) == area(self.BODIES[1]) == 1.0
+        for scale in (0.5, 1.0, 3.0):
+            for a, b in zip(poly.box(scale), box.box(scale)):
+                assert np.array_equal(a, b)
+            (c1, r1), (c2, r2) = poly.chebyshev_ball(scale), box.chebyshev_ball(scale)
+            assert np.allclose(c1, c2, rtol=0, atol=1e-9)
+            assert r1 == pytest.approx(r2, abs=1e-9)
+
+    def test_point_and_homothet_margins_agree(self):
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-2.0, 2.0, size=(200, 2))
+        centers = rng.uniform(-2.0, 2.0, size=(50, 2))
+        scales = rng.uniform(0.3, 2.0, size=50)
+        poly, box = (_shape(b) for b in self.BODIES)
+        for v, lam in zip(centers[:5], scales[:5]):
+            assert np.allclose(poly.point_margins(lam, pts)(v), box.point_margins(lam, pts)(v),
+                               rtol=0, atol=1e-12)
+            a, b = (homothet_margins(body, centers, scales, v, lam) for body in self.BODIES)
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_adjacency_agrees_bit_for_bit(self):
+        square = ConvexBody.unit_square()
+        tangent = grid_family(square, 3)
+        mixed = random_family(square, 60, (0.0, 6.0), scale_range=(0.3, 2.0), seed=4)
+        for family in (tangent, mixed):
+            a, b = (pairwise_adjacency(body, family.centers(), family.scales())
+                    for body in self.BODIES)
+            assert a.any() and not a.all()
+            assert np.array_equal(a, b)
 
 
 # family_digest of random_family(body, 40, (0, 6), scale_range, seed) as
