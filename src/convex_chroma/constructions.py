@@ -115,10 +115,9 @@ def pentagon_disjoint_family(k: int, circumradius: float = 0.8, spacing: float =
     family = translates(ConvexBody.unit_square(), np.array(centers),
                         meta={"construction": "pentagon_disjoint", "k": k})
     adj = pairwise_adjacency(family.body, family.centers(), family.scales())
-    for a in range(k):
-        for b in range(a + 1, k):
-            if adj[5 * a:5 * a + 5, 5 * b:5 * b + 5].any():
-                raise ConstructionError("pentagon copies must be pairwise disjoint")
+    copy = np.repeat(np.arange(k), 5)
+    if (adj & (copy[:, None] != copy[None, :])).any():
+        raise ConstructionError("pentagon copies must be pairwise disjoint")
     return family
 
 

@@ -4,6 +4,11 @@ low-discrepancy sampling.
 
 These certificates carry the kappa(C-C, C) upper bounds that parameterize the
 homothet coloring bounds.  kappa values are verified upper bounds, not minima.
+
+A build draws its target's sample set once: the lattice cover is pruned on it
+and the finished certificate is checked on the same points.  Point margins are
+computed column by column (one contiguous array per facet normal or axis), and
+`verify_certificate` draws the same set afresh for a given certificate.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
 
 
 def _sample_target(body: ConvexBody, scale: float, samples: int) -> np.ndarray:
+    """The sample set a certificate of scale*body is checked on."""
+    if samples < 1000:
+        raise ValueError("verification needs at least 1000 samples")
     interior = _interior_samples(body, scale, samples)
     boundary = _shape(body).boundary_points(scale, BOUNDARY_SAMPLES)
     return np.vstack([interior, boundary])
@@ -118,12 +126,14 @@ def known_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> Cover
         target=target, unit=body, translations=translations, kappa_ub=len(translations),
         target_scale=target_scale,
     )
-    return _verified(cert, samples, f"known covering for {body.kind}")
+    pts = _sample_target(target, target_scale, samples)
+    return _verified(cert, pts, f"known covering for {body.kind}")
 
 
-def _verified(cert: CoveringCertificate, samples: int, what: str) -> CoveringCertificate:
-    """The certificate with its sample check recorded; raises on a gap."""
-    report = verify_certificate(cert, samples=samples)
+def _verified(cert: CoveringCertificate, pts: np.ndarray, what: str) -> CoveringCertificate:
+    """The certificate with its check on the target samples `pts` recorded;
+    raises on a gap."""
+    report = _cover_report(cert, pts)
     if not report.ok:
         raise VerificationError(f"{what} failed verification: {report.uncovered} uncovered")
     return replace(cert, verified_samples=report.samples, worst_margin=report.worst_margin)
@@ -183,7 +193,7 @@ def cover_by_translates(
     )
     keep = np.ones(len(grid), dtype=bool)
     for k in order:
-        covered = coverage[k]
+        covered = np.flatnonzero(coverage[k])
         if (counts[covered] >= 2).all():
             keep[k] = False
             counts[covered] -= 1
@@ -193,16 +203,18 @@ def cover_by_translates(
         target=target, unit=unit, translations=translations,
         kappa_ub=len(translations), target_scale=target_scale, unit_scale=unit_scale,
     )
-    return _verified(cert, samples, "pruned covering")
+    return _verified(cert, pts, "pruned covering")
 
 
 def verify_certificate(cert: CoveringCertificate, samples: int = DEFAULT_SAMPLES) -> CoverReport:
     """Re-check the certificate on a deterministic sample of the target
     (interior Halton points plus boundary points); reports uncovered count and
     the worst containment margin."""
-    if samples < 1000:
-        raise ValueError("verification needs at least 1000 samples")
-    pts = _sample_target(cert.target, cert.target_scale, samples)
+    return _cover_report(cert, _sample_target(cert.target, cert.target_scale, samples))
+
+
+def _cover_report(cert: CoveringCertificate, pts: np.ndarray) -> CoverReport:
+    """Uncovered count and worst containment margin of the certificate on `pts`."""
     margins = _shape(cert.unit).point_margins(cert.unit_scale, pts)
     best = np.full(len(pts), -np.inf)
     for v in cert.translations:

@@ -31,6 +31,7 @@ import numpy as np
 TOL = 1e-9
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
+_HALTON_TABLE = 1024  # most entries of halton's per-base table of low digits
 
 
 class GeometryError(ValueError):
@@ -149,16 +150,32 @@ def halton(count: int, dims: int, start: int = 0) -> np.ndarray:
     if dims > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
     idx = np.arange(start + 1, start + count + 1, dtype=np.int64)
-    out = np.zeros((count, dims))
+    out = np.empty((count, dims))
     for d in range(dims):
         base = _PRIMES[d]
-        i = idx.copy()
-        f = 1.0
-        while i.any():
-            f /= base
-            out[:, d] += f * (i % base)
-            i //= base
+        # the low k digits come from a table of the radical inverses of
+        # 0..base^k - 1, summed in the digit loop's own order, so every value
+        # equals the plain loop's to the bit
+        width = base
+        while width * base <= _HALTON_TABLE:
+            width *= base
+        table = np.zeros(width)
+        weight = _add_digits(table, np.arange(width), base, 1.0)
+        high, low = np.divmod(idx, width)
+        column = table[low]
+        _add_digits(column, high, base, weight)
+        out[:, d] = column
     return out
+
+
+def _add_digits(acc: np.ndarray, i: np.ndarray, base: int, weight: float) -> float:
+    """Add the base-`base` digits of `i`, lowest first, times weight/base,
+    weight/base^2, ... to `acc` in place; return the last weight used."""
+    while i.any():
+        weight /= base
+        i, digit = np.divmod(i, base)
+        acc += weight * digit
+    return weight
 
 
 def _edge_normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +195,16 @@ def points_in_polygon(verts: np.ndarray, pts: np.ndarray, tol: float = TOL) -> n
 
 
 _Margins = Callable[[np.ndarray], np.ndarray]
+
+
+def _fold_min(columns) -> np.ndarray:
+    """The elementwise minimum of an iterable of equal-length arrays, taken in
+    order into the first (a fresh array); the row minimum of their stack."""
+    columns = iter(columns)
+    out = next(columns)
+    for column in columns:
+        np.minimum(out, column, out=out)
+    return out
 
 
 class _Shape:
@@ -268,8 +295,14 @@ class _Polygon(_Shape):
 
     def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
         normals, offsets = self.facets
-        scaled_offsets, projected = scale * offsets, pts @ normals.T
-        return lambda v: ((scaled_offsets + normals @ v)[None, :] - projected).min(axis=1)
+        scaled_offsets = scale * offsets
+        columns = np.ascontiguousarray((pts @ normals.T).T)
+
+        def margins(v: np.ndarray) -> np.ndarray:
+            shifted = scaled_offsets + normals @ v
+            return _fold_min(s - column for s, column in zip(shifted, columns))
+
+        return margins
 
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         normals, h_pos, h_neg = self.table
@@ -447,7 +480,13 @@ class _Disk(_Shape):
         raise GeometryError("the disk has a fixed unit radius; scale via Placement instead")
 
     def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
-        return lambda v: scale - np.linalg.norm(pts - v, axis=1)
+        xs, ys = np.ascontiguousarray(pts.T)
+
+        def margins(v: np.ndarray) -> np.ndarray:
+            dx, dy = xs - v[0], ys - v[1]
+            return scale - np.sqrt(dx * dx + dy * dy)
+
+        return margins
 
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         return scales + scale - np.linalg.norm(delta, axis=1)
@@ -508,17 +547,19 @@ class _Box(_Shape):
 
     def point_margins(self, scale: float, pts: np.ndarray) -> _Margins:
         half = scale * np.asarray(self.sides) / 2.0
-        return lambda v: (half - np.abs(pts - v)).min(axis=1)
+        columns = np.ascontiguousarray(pts.T)
+        return lambda v: _fold_min(h - np.abs(column - x) for h, column, x in zip(half, columns, v))
 
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         half = (scales + scale)[:, None] * np.asarray(self.sides) / 2.0
         return (half - np.abs(delta)).min(axis=1)
 
     def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-        gap = np.abs(centers[:, None, :] - centers[None, :, :]) - (
-            scales[:, None] + scales[None, :]
-        )[:, :, None] * self.half[None, None, :]
-        return (gap <= tol).all(axis=2)
+        sums = scales[:, None] + scales[None, :]
+        adj = np.ones(sums.shape, dtype=bool)
+        for a, h in enumerate(self.half):
+            adj &= np.abs(centers[:, None, a] - centers[None, :, a]) - sums * h <= tol
+        return adj
 
     def parallelogram_fit(self) -> ParallelogramFit:
         if self.dimension != 2:

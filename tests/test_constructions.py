@@ -101,6 +101,11 @@ class TestPentagonFamilies:
         with pytest.raises(ConstructionError):
             pentagon_family(2, circumradius=2.0)  # consecutive squares no longer meet
 
+    @pytest.mark.parametrize("k,spacing", [(2, 1.0), (3, 2.5), (4, 0.0)])
+    def test_disjoint_copies_too_close_detected(self, k, spacing):
+        with pytest.raises(ConstructionError, match="pairwise disjoint"):
+            pentagon_disjoint_family(k, spacing=spacing)
+
     def test_jitter_keeps_members_distinct(self):
         fam = pentagon_family(3)
         assert len({p.center for p in fam.placements}) == 15

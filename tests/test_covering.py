@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convex_chroma import covering
 from convex_chroma.covering import (
     CoveringCertificate,
     cover_by_translates,
@@ -192,3 +193,65 @@ def test_sampled_certificates_are_pinned(name):
         text = json.dumps([cert.kappa_ub, cert.translations])
         got += [cert.kappa_ub, hashlib.sha256(text.encode()).hexdigest()]
     assert tuple(got) == CERTIFICATE_PINS[name]
+
+
+# verified_samples and the float.hex of worst_margin of the same certificates,
+# as built when every build drew its target's samples twice (once to prune,
+# once more to verify the result)
+MARGIN_PINS = {
+    "triangle": (21000, "0x1.46f22c0f73180p-10", 21000, "0x1.82a4a0e0ea400p-10"),
+    "regular-pentagon": (21000, "0x1.2b6e525f27500p-8", 21000, "0x1.ebab44f088e00p-8"),
+    "irregular-pentagon": (21000, "0x1.c9b908900fb50p-6", 21000, "0x1.3198df6186500p-5"),
+    "thin-quadrilateral": (21000, "0x1.4120edd68c000p-15", 21000, "0x1.e09b893c11000p-14"),
+}
+
+
+def _built_certificates(body, samples=20_000):
+    return (cover_by_translates(minkowski_sum(body, reflect(body)), body, samples=samples),
+            symmetrized_certificate(body, samples=samples))
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_PINS))
+def test_certificate_margins_are_pinned(name):
+    got = []
+    for cert in _built_certificates(PIN_BODIES[name]):
+        got += [cert.verified_samples, float(cert.worst_margin).hex()]
+    assert tuple(got) == MARGIN_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["triangle", "irregular-pentagon"])
+def test_built_check_equals_a_fresh_verification(name):
+    for cert in _built_certificates(PIN_BODIES[name]):
+        report = verify_certificate(cert, samples=20_000)
+        assert report.ok
+        assert cert.verified_samples == report.samples
+        assert np.float64(cert.worst_margin).view(np.int64) == \
+            np.float64(report.worst_margin).view(np.int64)
+
+
+def test_a_build_draws_its_samples_once(monkeypatch, triangle, unit_square):
+    draws = []
+    sample_target = covering._sample_target
+
+    def counted(body, scale, samples):
+        draws.append((body, scale, samples))
+        return sample_target(body, scale, samples)
+
+    monkeypatch.setattr(covering, "_sample_target", counted)
+    target = minkowski_sum(triangle, reflect(triangle))
+    cert = cover_by_translates(target, triangle, samples=5_000)
+    assert draws == [(target, 1.0, 5_000)]
+    assert cert.verified_samples == 5_000 + covering.BOUNDARY_SAMPLES
+    draws.clear()
+    cert = known_certificate(unit_square, samples=5_000)
+    assert draws == [(cert.target, cert.target_scale, 5_000)]
+    draws.clear()
+    verify_certificate(cert, samples=5_000)
+    assert len(draws) == 1
+
+
+def test_too_few_samples_rejected_before_a_build(triangle, unit_square):
+    with pytest.raises(ValueError, match="at least 1000"):
+        cover_by_translates(minkowski_sum(triangle, reflect(triangle)), triangle, samples=999)
+    with pytest.raises(ValueError, match="at least 1000"):
+        known_certificate(unit_square, samples=999)

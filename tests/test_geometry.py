@@ -15,6 +15,7 @@ from convex_chroma.geometry import (
     area,
     containment_ratio,
     difference_polygon,
+    halton,
     homothet_margins,
     homothets_intersect,
     inscribed_parallelogram,
@@ -24,6 +25,7 @@ from convex_chroma.geometry import (
     points_in_polygon,
     reflect,
     symmetrize,
+    _edge_normals,
     _shape,
 )
 from conftest import cyclic_equal, hull_vertices, random_polygon
@@ -425,6 +427,106 @@ class TestSquareTwoWays:
                     for body in self.BODIES)
             assert a.any() and not a.all()
             assert np.array_equal(a, b)
+
+
+def _bits(a) -> np.ndarray:
+    """The float64 bit patterns of an array (a signed zero is its own pattern)."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def reference_point_margins(body: ConvexBody, scale: float, pts: np.ndarray):
+    """The point-margin formulas the column kernels replaced: a row minimum
+    over the (points, normals) matrix, the box's (points, axes) matrix and the
+    disk's row norm."""
+    if body.kind == "polygon2d":
+        normals, offsets = _edge_normals(np.array(body.vertices))
+        scaled, projected = scale * offsets, pts @ normals.T
+        return lambda v: ((scaled + normals @ v)[None, :] - projected).min(axis=1)
+    if body.kind == "disk":
+        return lambda v: scale - np.linalg.norm(pts - v, axis=1)
+    half = scale * np.asarray(body.sides) / 2.0
+    return lambda v: (half - np.abs(pts - v)).min(axis=1)
+
+
+def reference_halton(count: int, dims: int, start: int = 0) -> np.ndarray:
+    """Halton points by the plain digit loop over every index."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.int64)
+    out = np.zeros((count, dims))
+    for d in range(dims):
+        base = (2, 3, 5, 7, 11, 13)[d]
+        i = idx.copy()
+        f = 1.0
+        while i.any():
+            f /= base
+            out[:, d] += f * (i % base)
+            i //= base
+    return out
+
+
+def reference_box_adjacency(body: ConvexBody, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The box adjacency by its n x n x d gap tensor."""
+    half = np.asarray(body.sides) / 2.0
+    gap = np.abs(centers[:, None, :] - centers[None, :, :]) - (
+        scales[:, None] + scales[None, :]
+    )[:, :, None] * half[None, None, :]
+    return (gap <= TOL).all(axis=2)
+
+
+MARGIN_BODIES = {
+    "triangle": TRIANGLE, "irregular-pentagon": IRREGULAR_PENTAGON,
+    "box-2d": ConvexBody.box((1.0, 2.0)), "box-3d": ConvexBody.box((1.0, 0.5, 2.0)),
+    "disk": ConvexBody.disk(),
+}
+
+
+class TestColumnKernels:
+    """The column-wise kernels must give the old formulas' floats to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(MARGIN_BODIES))
+    def test_point_margins_match_the_row_formulas(self, name):
+        body = MARGIN_BODIES[name]
+        dim = body.dimension
+        rng = np.random.default_rng(3)
+        # signed zeros, vertices and boundary points as well as random points
+        pts = np.vstack([
+            rng.uniform(-3.0, 3.0, size=(2000, dim)), halton(500, dim) - 0.5,
+            np.zeros((1, dim)), -np.zeros((1, dim)), np.eye(dim), -np.eye(dim),
+        ])
+        shifts = [np.zeros(dim), -np.zeros(dim), *rng.uniform(-1.0, 1.0, size=(40, dim)),
+                  *pts[-2 * dim:]]
+        for scale in (1.0, 0.3, 2.0):
+            got = _shape(body).point_margins(scale, pts)
+            want = reference_point_margins(body, scale, pts)
+            for v in shifts:
+                assert np.array_equal(_bits(got(v)), _bits(want(v)))
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6])
+    def test_halton_matches_the_digit_loop(self, dims):
+        # start and count on both sides of the largest table, 1024 entries
+        for start in (0, 1023, 1024, 20_000, 100_000):
+            for count in (0, 1, 1023, 1024, 1025, 20_000):
+                got = halton(count, dims, start=start)
+                assert got.shape == (count, dims)
+                assert np.array_equal(_bits(got), _bits(reference_halton(count, dims, start)))
+        assert np.array_equal(_bits(halton(100_000, dims)), _bits(reference_halton(100_000, dims)))
+
+    def test_box_adjacency_matches_the_gap_tensor(self):
+        box2 = ConvexBody.box((1.0, 2.0))
+        box3 = ConvexBody.box((1.0, 0.5, 2.0))
+        rng = np.random.default_rng(5)
+        families = [
+            grid_family(box2, 3),
+            random_family(ConvexBody.unit_square(), 60, (0.0, 6.0), scale_range=(0.3, 2.0), seed=4),
+            Family(body=box3, placements=tuple(
+                Placement(tuple(c), float(s)) for c, s in
+                zip(rng.integers(0, 8, size=(80, 3)) / 4.0, rng.integers(1, 4, size=80) / 2.0))),
+        ]
+        for family in families:
+            centers, scales = family.centers(), family.scales()
+            got = _shape(family.body).adjacency(centers, scales, TOL)
+            want = reference_box_adjacency(family.body, centers, scales)
+            assert want.any() and not want.all()
+            assert np.array_equal(got, want)
 
 
 # family_digest of random_family(body, 40, (0, 6), scale_range, seed) as
