@@ -78,7 +78,8 @@ def _parse_caps(text: str | None) -> SolverCaps:
 
 
 def _resolve_caps(arg: str | None) -> SolverCaps:
-    return _parse_caps(os.environ.get(CAPS_ENV) or arg)
+    """--caps when given, else the CONVEX_CHROMA_CAPS environment variable."""
+    return _parse_caps(arg if arg is not None else os.environ.get(CAPS_ENV))
 
 
 def _named_body(name: str, sides: str | None = None) -> ConvexBody:
@@ -150,7 +151,7 @@ class _Run:
         self.caps = _resolve_caps(args.caps)
         self.family = load_family(args.input)
         self.digest = family_digest(self.family)
-        self.graph = build_graph(self.family, family_ref=self.digest)
+        self.graph = build_graph(self.family)
         self.seed = args.seed
         self.samples = args.samples
         self.out = args.out
@@ -171,7 +172,7 @@ class _Run:
     @cached_property
     def translates(self) -> TranslatePipeline:
         self._require_translates("translates")
-        return translate_pipeline(self.family, seed=self.seed)
+        return translate_pipeline(self.family, self.graph, seed=self.seed)
 
     @cached_property
     def symmetrized_cert(self) -> CoveringCertificate:
@@ -277,7 +278,7 @@ def cmd_verify(args) -> int:
     oracles: dict = {key: _exact(res) for key, res in results.items()}
     capped = any(res.capped for res in results.values())
     omega, nu, chi, theta = (oracles[key] for key in results)
-    oracles.update({"members": len(family), "edges": len(g.edges())})
+    oracles.update({"members": len(family), "edges": int(g.matrix.sum()) // 2})
 
     checks: list[InequalityCheck] = []
     if len(family) > 0:
@@ -343,34 +344,15 @@ def family_svg(family: Family, colors: list[int] | None = None) -> str:
     """Write-only SVG rendering of a 2D family, fill per color class."""
     if family.body.dimension != 2:
         raise GeometryError("SVG export supports 2D families only")
-    centers = family.centers()
-    scales = family.scales()
-    body = family.body
+    shape = _shape(family.body)
     shapes = []
     lo = np.full(2, np.inf)
     hi = np.full(2, -np.inf)
-    for i, (c, lam) in enumerate(zip(centers, scales)):
+    for i, (c, lam) in enumerate(zip(family.centers(), family.scales())):
         fill = _SVG_PALETTE[colors[i] % len(_SVG_PALETTE)] if colors is not None else "none"
-        box_lo, box_hi = _shape(body).box(lam)
-        if body.kind == "disk":
-            shapes.append(
-                f'<circle cx="{c[0]:.6f}" cy="{c[1]:.6f}" r="{lam:.6f}" fill="{fill}" '
-                f'fill-opacity="0.55" stroke="black" stroke-width="0.02"/>'
-            )
-        elif body.kind == "box":
-            x, y = c + box_lo
-            w, h = box_hi - box_lo
-            shapes.append(
-                f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" fill="{fill}" '
-                f'fill-opacity="0.55" stroke="black" stroke-width="0.02"/>'
-            )
-        else:
-            verts = lam * np.array(body.vertices) + c
-            pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in verts)
-            shapes.append(
-                f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.55" '
-                f'stroke="black" stroke-width="0.02"/>'
-            )
+        shapes.append(shape.svg_element(
+            c, lam, f'fill="{fill}" fill-opacity="0.55" stroke="black" stroke-width="0.02"'))
+        box_lo, box_hi = shape.box(lam)
         lo, hi = np.minimum(lo, c + box_lo), np.maximum(hi, c + box_hi)
     if not len(shapes):
         lo, hi = np.zeros(2), np.ones(2)
@@ -397,7 +379,7 @@ def family_csv(family: Family, caps: SolverCaps) -> str:
             f"{'' if res.lower is None else res.lower},{'' if res.upper is None else res.upper}"
         )
     rows.append(f"members,{len(family)},False,,")
-    rows.append(f"edges,{len(g.edges())},False,,")
+    rows.append(f"edges,{int(g.matrix.sum()) // 2},False,,")
     return "\n".join(rows) + "\n"
 
 

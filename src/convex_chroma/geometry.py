@@ -228,6 +228,13 @@ class _Shape:
         return (np.array([-scale * self.support(-e) for e in eye]),
                 np.array([scale * self.support(e) for e in eye]))
 
+    def svg_element(self, center: np.ndarray, scale: float, style: str) -> str:
+        """The SVG element drawing scale*C + center in 2D, with `style` attributes."""
+        lo, hi = self.box(scale)
+        x, y = center + lo
+        w, h = hi - lo
+        return f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" {style}/>'
+
     def known_cover(self, body: ConvexBody) -> tuple | None:
         """(target, target_scale, translations) of a known cover of C - C by C, or None."""
         return None
@@ -436,6 +443,10 @@ class _Polygon(_Shape):
     def seed_point(self) -> np.ndarray:
         return self.verts.mean(axis=0)
 
+    def svg_element(self, center: np.ndarray, scale: float, style: str) -> str:
+        pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in scale * self.verts + center)
+        return f'<polygon points="{pts}" {style}/>'
+
     def clipped_measure(self, center: np.ndarray, scale: float,
                         lo: np.ndarray, hi: np.ndarray) -> float:
         """Area of scale*C + center inside the box [lo, hi]: Sutherland-Hodgman
@@ -511,6 +522,9 @@ class _Disk(_Shape):
 
     def chebyshev_ball(self, scale: float) -> tuple[np.ndarray, float]:
         return np.zeros(2), scale
+
+    def svg_element(self, center: np.ndarray, scale: float, style: str) -> str:
+        return f'<circle cx="{center[0]:.6f}" cy="{center[1]:.6f}" r="{scale:.6f}" {style}/>'
 
     def clipped_measure(self, center: np.ndarray, scale: float,
                         lo: np.ndarray, hi: np.ndarray) -> float:

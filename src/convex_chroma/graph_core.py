@@ -1,6 +1,12 @@
 """Intersection graphs and exact invariants: max clique, max independent set,
 chromatic number, and clique-cover number, all with verifiable witnesses.
 
+A graph holds its adjacency twice, built once: `rows`, one bitmask per
+member, which the exact solvers walk, and `matrix`, the same adjacency as a
+read-only boolean n x n array, which every other reader slices or masks
+(edges, complements, subgraphs, the coloring check, the translate posets and
+the homothet rounds).
+
 Solvers are exact and deterministic (lowest-index tie-breaking).  Instances
 above the caps return explicit "capped" results carrying bounds instead of
 silently degrading to heuristics.
@@ -36,11 +42,15 @@ class SolverCaps:
 
 @dataclass(frozen=True)
 class IntersectionGraph:
-    """Undirected graph over family members; rows are adjacency bitmasks."""
+    """Undirected graph over family members; rows are adjacency bitmasks.
+
+    `matrix` is the same adjacency as a read-only boolean array, set from the
+    rows on construction; it is not a field, so equality and hashing rest on
+    the rows alone.
+    """
 
     member_count: int
     rows: tuple[int, ...]
-    family_ref: str = ""
 
     def __post_init__(self):
         n = self.member_count
@@ -54,12 +64,14 @@ class IntersectionGraph:
         width = (n + 7) // 8
         raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows),
                             dtype=np.uint8).reshape(n, width)
-        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
         if not (bits == bits.T).all():
             raise ValueError("adjacency must be symmetric")
+        bits.setflags(write=False)
+        object.__setattr__(self, "matrix", bits)
 
     @staticmethod
-    def from_matrix(adj: np.ndarray, family_ref: str = "") -> "IntersectionGraph":
+    def from_matrix(adj: np.ndarray) -> "IntersectionGraph":
         """Row i has bit j set where adj[i, j] is true and j != i."""
         mask = np.array(adj, dtype=bool)
         n = len(mask)
@@ -68,33 +80,29 @@ class IntersectionGraph:
         np.fill_diagonal(mask, False)
         packed = np.packbits(mask, axis=1, bitorder="little")
         rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return IntersectionGraph(member_count=n, rows=rows, family_ref=family_ref)
+        return IntersectionGraph(member_count=n, rows=rows)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.rows) for j in _bits(row >> i << i)]
+        """Every edge (i, j) with i < j, in row-major order."""
+        return [(i, j) for i, j in np.argwhere(np.triu(self.matrix)).tolist()]
 
     def degree(self, i: int) -> int:
         return bin(self.rows[i]).count("1")
 
     def complement(self) -> "IntersectionGraph":
-        n = self.member_count
-        full = (1 << n) - 1
-        rows = tuple((full ^ self.rows[i]) & ~(1 << i) for i in range(n))
-        return IntersectionGraph(member_count=n, rows=rows, family_ref=self.family_ref)
+        return IntersectionGraph.from_matrix(~self.matrix)
 
     def subgraph(self, members: list[int]) -> "IntersectionGraph":
-        idx = {m: k for k, m in enumerate(members)}
-        rows = tuple(sum(1 << idx[o] for o in _bits(self.rows[m]) if o in idx) for m in members)
-        return IntersectionGraph(member_count=len(members), rows=rows)
+        return IntersectionGraph.from_matrix(self.matrix[np.ix_(members, members)])
 
 
-def build_graph(family: Family, family_ref: str = "") -> IntersectionGraph:
+def build_graph(family: Family) -> IntersectionGraph:
     """Intersection graph of the family; adjacency = closed geometric intersection."""
     adj = pairwise_adjacency(family.body, family.centers(), family.scales())
-    return IntersectionGraph.from_matrix(adj, family_ref=family_ref)
+    return IntersectionGraph.from_matrix(adj)
 
 
 @dataclass(frozen=True)
@@ -284,10 +292,8 @@ def verify_coloring(g: IntersectionGraph, assignment) -> bool:
     """True iff the assignment covers all members and no edge is monochromatic."""
     if len(assignment) != g.member_count:
         raise IndexError("assignment must cover all members")
-    for i, j in g.edges():
-        if assignment[i] == assignment[j]:
-            return False
-    return True
+    colors = np.asarray(assignment)
+    return not (g.matrix & (colors[:, None] == colors[None, :])).any()
 
 
 def verify_clique_partition(g: IntersectionGraph, assignment) -> bool:

@@ -133,7 +133,7 @@ def color_homothets(
     colors = [-1] * len(family)
     back_degree_max = 0
     for v in order:
-        colored = [u for u in range(len(family)) if g.adjacent(v, u) and colors[u] != -1]
+        colored = [u for u in np.flatnonzero(g.matrix[v]).tolist() if colors[u] != -1]
         back_degree_max = max(back_degree_max, len(colored))
         used = {colors[u] for u in colored}
         c = 0
@@ -168,7 +168,7 @@ def _merge_clique_classes(g: IntersectionGraph, classes: list[list[int]]) -> lis
     merged: list[list[int]] = []
     for cls in sorted(classes, key=lambda c: min(c)):
         for target in merged:
-            if all(g.adjacent(a, b) for a in cls for b in target):
+            if g.matrix[np.ix_(cls, target)].all():
                 target.extend(cls)
                 break
         else:
@@ -198,7 +198,7 @@ def clique_partition_homothets(
     next_class = 0
     while remaining:
         rep = min(remaining, key=lambda i: (scales[i], i))
-        sub = [i for i in remaining if i == rep or g.adjacent(rep, i)]
+        sub = sorted(remaining.intersection(np.flatnonzero(g.matrix[rep]).tolist()) | {rep})
         piercing = pierce_intersecting_smallest(family, sub, cert)
         fallback_any = fallback_any or piercing.fallback_used
         used_points = sorted(set(piercing.assignment))
@@ -213,10 +213,8 @@ def clique_partition_homothets(
         remaining -= set(sub)
         rounds += 1
 
-    for a in range(len(representatives)):
-        for b in range(a + 1, len(representatives)):
-            if g.adjacent(representatives[a], representatives[b]):
-                raise ConsistencyError("greedy round representatives must be pairwise disjoint")
+    if g.matrix[np.ix_(representatives, representatives)].any():
+        raise ConsistencyError("greedy round representatives must be pairwise disjoint")
 
     if nu is not None:
         bound = cert.kappa_ub * (nu - 1) + 1 if n else 0

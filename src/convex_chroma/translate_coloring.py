@@ -23,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .geometry import (
-    GeometryError,
-    ParallelogramFit,
-    inscribed_parallelogram,
-    pairwise_adjacency,
-)
-from .graph_core import ConsistencyError
+from .geometry import GeometryError, inscribed_parallelogram
+from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ClassSummary, ColoringReport, PartitionReport
 
 OFFSET_CLEARANCE = 1e-6
@@ -72,13 +67,12 @@ class BoundParams:
 
 @dataclass
 class NormalizedFamily:
-    """Original family plus the affine map sending the fitted P to the unit cube."""
+    """Original family plus the linear map sending the fitted P to a translate
+    of the unit cube."""
 
     family: Family
-    matrix: np.ndarray          # linear part S of the map x -> S(x - fit_center)
-    fit_center: np.ndarray
-    refs: np.ndarray            # normalized reference points, one row per member
-    fit: ParallelogramFit | None
+    matrix: np.ndarray          # the linear map S
+    refs: np.ndarray            # normalized reference points S(center), one row per member
     params: BoundParams
 
 
@@ -98,7 +92,6 @@ class Offsets:
 class Decomposition:
     line_keys: np.ndarray       # (N, n-1) integer line indices
     cells: np.ndarray           # (N,) integer cell indices along the last axis
-    line_residues: np.ndarray   # line_keys mod M
     cell_residues: np.ndarray   # cells mod c
     offsets: Offsets
     params: BoundParams
@@ -152,23 +145,17 @@ def normalize(family: Family) -> NormalizedFamily:
         if n > 6:
             raise GeometryError("box translate coloring supports dimension <= 6")
         matrix = np.diag(1.0 / (scale * np.asarray(body.sides)))
-        fit = None
         ratio = 1.0
-        fit_center = np.zeros(n)
     else:
         n = 2
         fit = inscribed_parallelogram(body)
         basis = scale * np.array([fit.u, fit.v]).T
         matrix = 0.5 * np.linalg.inv(basis)
         ratio = fit.ratio
-        fit_center = scale * np.asarray(fit.center)
     params = BoundParams.from_ratio(n, ratio)
     centers = family.centers()
     refs = centers @ matrix.T if len(family) else np.zeros((0, n))
-    return NormalizedFamily(
-        family=family, matrix=matrix, fit_center=fit_center, refs=refs,
-        fit=fit, params=params,
-    )
+    return NormalizedFamily(family=family, matrix=matrix, refs=refs, params=params)
 
 
 def choose_offsets(nf: NormalizedFamily, seed: int = 0) -> Offsets:
@@ -202,7 +189,7 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
     if len(refs) == 0:
         empty = np.zeros((0, max(n - 1, 0)), dtype=int)
         return Decomposition(line_keys=empty, cells=np.zeros(0, dtype=int),
-                             line_residues=empty, cell_residues=np.zeros(0, dtype=int),
+                             cell_residues=np.zeros(0, dtype=int),
                              offsets=offsets, params=params)
     b = np.asarray(offsets.b)
     cross = refs[:, : n - 1] - b
@@ -213,20 +200,19 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
     return Decomposition(
         line_keys=line_keys,
         cells=cells,
-        line_residues=np.mod(line_keys, params.M),
         cell_residues=np.mod(cells, params.c),
         offsets=offsets,
         params=params,
     )
 
 
-def build_poset(members: list[int], nf: NormalizedFamily) -> PosetClass:
-    """Strict partial order on one class: disjoint and strictly lower last
-    coordinate.  Transitivity failures raise (they would falsify the fit)."""
-    family = nf.family
+def build_poset(members: list[int], nf: NormalizedFamily,
+                graph: IntersectionGraph) -> PosetClass:
+    """Strict partial order on one class: disjoint (in the family's graph) and
+    strictly lower last coordinate.  Transitivity failures raise (they would
+    falsify the fit)."""
     last = nf.refs[members, nf.params.n - 1] if members else np.zeros(0)
-    disjoint = ~pairwise_adjacency(family.body, family.centers()[members],
-                                   family.scales()[members])
+    disjoint = ~graph.matrix[np.ix_(members, members)]
     np.fill_diagonal(disjoint, False)
     if (disjoint & (last[:, None] == last[None, :])).any():
         raise PosetError("disjoint class members share a last coordinate")
@@ -364,12 +350,13 @@ class TranslatePipeline:
         )
 
 
-def translate_pipeline(family: Family, seed: int = 0) -> TranslatePipeline:
+def translate_pipeline(family: Family, graph: IntersectionGraph,
+                       seed: int = 0) -> TranslatePipeline:
     """Normalize, pick offsets, decompose, and partition every class poset
-    into chains and antichains."""
+    into chains and antichains; `graph` is the family's intersection graph."""
     nf = normalize(family)
     dec = decompose(nf, choose_offsets(nf, seed))
-    posets = {key: build_poset(members, nf) for key, members in dec.classes().items()}
+    posets = {key: build_poset(members, nf, graph) for key, members in dec.classes().items()}
     chains = {key: chain_partition(p) for key, p in posets.items()}
     layers = {key: antichain_partition(p) for key, p in posets.items()}
     summaries = tuple(
@@ -382,9 +369,9 @@ def translate_pipeline(family: Family, seed: int = 0) -> TranslatePipeline:
 
 def color_translates(family: Family, seed: int = 0) -> ColoringReport:
     """Proper coloring with at most t_bound * omega colors."""
-    return translate_pipeline(family, seed).coloring()
+    return translate_pipeline(family, build_graph(family), seed).coloring()
 
 
 def clique_partition_translates(family: Family, seed: int = 0) -> PartitionReport:
     """Clique partition with at most t_bound * nu classes."""
-    return translate_pipeline(family, seed).partition()
+    return translate_pipeline(family, build_graph(family), seed).partition()

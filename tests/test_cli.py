@@ -1,12 +1,15 @@
+import hashlib
 import json
 import re
 import time
 
 import pytest
 
-from convex_chroma import cli, graph_core
+from convex_chroma import cli, geometry, graph_core, translate_coloring
 from convex_chroma.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from convex_chroma.constructions import random_family
 from convex_chroma.families import load_family, save_family
+from convex_chroma.geometry import ConvexBody
 from convex_chroma.graph_core import build_graph, from_dimacs
 
 
@@ -155,6 +158,11 @@ class TestVerify:
         assert run(["verify", "--in", str(grid2),
                     "--out", str(tmp_path / "r.json")]) == EXIT_CAPPED
 
+    def test_explicit_caps_win_over_the_environment(self, grid2, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONVEX_CHROMA_CAPS", "omega=100,chi=10")
+        assert run(["verify", "--in", str(grid2), "--caps", "omega=100,chi=45",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+
     def test_byte_identical_reports(self, pentagon2, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["verify", "--in", str(pentagon2), "--seed", "1", "--out", str(a)]) == EXIT_OK
@@ -221,6 +229,27 @@ class TestRunContext:
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert counts == dict.fromkeys(counts, 1)
+
+    def test_translate_color_computes_adjacency_once(self, tmp_path, monkeypatch):
+        fam = tmp_path / "t.json"
+        assert run(["generate", "random", "--body", "triangle", "--count", "40",
+                    "--window", "0,5", "--seed", "3", "--out", str(fam)]) == EXIT_OK
+        original = geometry.pairwise_adjacency
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        for module in (geometry, graph_core, translate_coloring):
+            if getattr(module, "pairwise_adjacency", None) is original:
+                monkeypatch.setattr(module, "pairwise_adjacency", counted)
+        rep = tmp_path / "r.json"
+        assert run(["color", "--in", str(fam), "--method", "translates",
+                    "--out", str(rep)]) == EXIT_OK
+        classes = json.loads(rep.read_text())["outputs"]["coloring"]["classes"]
+        assert len(classes) > 1
+        assert calls == [40]
 
     def test_verify_searches_omega_and_nu_once_each(self, tmp_path, monkeypatch):
         fam = tmp_path / "p3.json"
@@ -294,6 +323,26 @@ class TestExport:
                     "--out", str(fam)]) == EXIT_OK
         assert run(["export", "--in", str(fam), "--format", "svg",
                     "--out", str(tmp_path / "x.svg")]) == EXIT_INPUT
+
+    # family_svg digests, pinned so that every drawn element keeps its bytes
+    SVG_SHA256 = {
+        ("disk", False): "b19d60115277866f0e1ef00b70025176287802147c20713e6cd29d1b9b7785e5",
+        ("disk", True): "1915c1283bacf514268c951f82dc3513798c9dfe229f098bca3a2f1e476d5bb4",
+        ("box", False): "f82ff4e08d3ebadd69f02a74c9c5705f41e6d892422d672feac9f50669116b39",
+        ("box", True): "48657876201fa732ab7cd969a8382b69e4b611277944ad380bb01827e7a8f877",
+        ("triangle", False): "25b963949798bcf3e7e587f86bd650b3921d06df66814d3a8a043112400058ad",
+        ("triangle", True): "dea5d20442d5370de0f913abac009289c9169ef808ab79f3414b6bd082e10d79",
+    }
+
+    @pytest.mark.parametrize("colored", [False, True], ids=["plain", "colored"])
+    @pytest.mark.parametrize("name", ["disk", "box", "triangle"])
+    def test_svg_bytes_are_pinned(self, name, colored):
+        body = {"disk": ConvexBody.disk(), "box": ConvexBody.box((2.0, 0.5)),
+                "triangle": ConvexBody.polygon([(0, 0), (1, 0), (0, 1)])}[name]
+        fam = random_family(body, 9, (0, 4), scale_range=(0.5, 2.0), seed=11)
+        colors = [(3 * i) % 13 for i in range(len(fam))] if colored else None
+        digest = hashlib.sha256(cli.family_svg(fam, colors).encode()).hexdigest()
+        assert digest == self.SVG_SHA256[name, colored]
 
     def test_csv(self, grid2, tmp_path):
         out = tmp_path / "inv.csv"

@@ -99,6 +99,83 @@ class TestBuildGraph:
             IntersectionGraph.from_matrix(np.zeros((3, 4), dtype=bool))
 
 
+def _row_bits(g: IntersectionGraph) -> np.ndarray:
+    n = g.member_count
+    return np.array([[bool((row >> j) & 1) for j in range(n)] for row in g.rows],
+                    dtype=bool).reshape(n, n)
+
+
+def _bit_walk(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def reference_edges(g: IntersectionGraph) -> list[tuple[int, int]]:
+    """The bit-walk edge list: (i, j) for each set bit j >= i of row i."""
+    return [(i, j) for i, row in enumerate(g.rows) for j in _bit_walk(row >> i << i)]
+
+
+def reference_complement_rows(g: IntersectionGraph) -> tuple[int, ...]:
+    full = (1 << g.member_count) - 1
+    return tuple((full ^ g.rows[i]) & ~(1 << i) for i in range(g.member_count))
+
+
+def reference_subgraph_rows(g: IntersectionGraph, members: list[int]) -> tuple[int, ...]:
+    idx = {m: k for k, m in enumerate(members)}
+    return tuple(sum(1 << idx[o] for o in _bit_walk(g.rows[m]) if o in idx) for m in members)
+
+
+class TestMatrix:
+    """`matrix` is the rows' adjacency as a read-only boolean array, whichever
+    way the graph was made."""
+
+    @staticmethod
+    def _made(n: int) -> dict[str, IntersectionGraph]:
+        adj = random_graph(n + 3, n, p=0.4)
+        g = IntersectionGraph.from_matrix(adj)
+        members = [int(v) for v in np.random.default_rng(n).permutation(n)[: (2 * n) // 3]]
+        return {"from_matrix": g, "complement": g.complement(),
+                "subgraph": g.subgraph(members), "from_dimacs": from_dimacs(to_dimacs(g))}
+
+    @pytest.mark.parametrize("how", ["from_matrix", "complement", "subgraph", "from_dimacs"])
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_matrix_is_the_rows_and_read_only(self, n, how):
+        g = self._made(n)[how]
+        assert g.matrix.dtype == bool and g.matrix.shape == (g.member_count, g.member_count)
+        assert np.array_equal(g.matrix, _row_bits(g))
+        assert not g.matrix.flags.writeable
+        if g.member_count:
+            with pytest.raises(ValueError):
+                g.matrix[0, 0] = True
+
+    def test_equality_and_hash_rest_on_rows(self):
+        g = IntersectionGraph.from_matrix(random_graph(2, 10))
+        again = IntersectionGraph(member_count=10, rows=g.rows)
+        assert g == again and hash(g) == hash(again)
+        assert "matrix" not in repr(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edges_complement_and_subgraph_match_the_bit_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 7, 9, 40):
+            g = IntersectionGraph.from_matrix(random_graph(seed, n, p=float(rng.random())))
+            assert g.edges() == reference_edges(g)
+            assert all(type(v) is int for edge in g.edges() for v in edge)
+            assert g.complement().rows == reference_complement_rows(g)
+            members = [int(v) for v in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+            assert g.subgraph(members).rows == reference_subgraph_rows(g, members)
+
+    def test_verify_coloring_matches_the_edge_walk(self):
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 9, 30):
+            g = IntersectionGraph.from_matrix(random_graph(n, n, p=0.2))
+            for _ in range(20):
+                colors = rng.integers(0, 4, size=n).tolist()
+                expected = all(colors[i] != colors[j] for i, j in reference_edges(g))
+                assert verify_coloring(g, colors) == expected
+        with pytest.raises(IndexError):
+            verify_coloring(c5_graph(), [0, 1, 0, 1])
+
+
 class TestMaxClique:
     def test_c5(self):
         assert max_clique(c5_graph()).value == 2

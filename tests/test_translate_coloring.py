@@ -5,7 +5,14 @@ import pytest
 
 from convex_chroma.constructions import grid_family, pentagon_family, random_family
 from convex_chroma.families import Family, translates
-from convex_chroma.geometry import ConvexBody, GeometryError, Placement, homothets_intersect
+from convex_chroma.geometry import (
+    ConvexBody,
+    GeometryError,
+    Placement,
+    homothets_intersect,
+    pair_margin,
+    pairwise_adjacency,
+)
 from convex_chroma.graph_core import (
     build_graph,
     max_clique,
@@ -35,9 +42,7 @@ def make_normalized(refs: np.ndarray, params: BoundParams, family=None) -> Norma
     return NormalizedFamily(
         family=family if family is not None else translates(ConvexBody.box((1.0,) * n), []),
         matrix=np.eye(n),
-        fit_center=np.zeros(n),
         refs=np.asarray(refs, dtype=float).reshape(-1, n),
-        fit=None,
         params=params,
     )
 
@@ -150,8 +155,8 @@ class TestDecompose:
         dec = decompose(nf, off)
         assert dec.line_keys.tolist() == [[0]]
         assert dec.cells.tolist() == [3]
-        assert dec.line_residues.tolist() == [[0]]
         assert dec.cell_residues.tolist() == [3 % params.c]
+        assert [dec.block_of(key) for key in dec.classes()] == [((0,), 3 % params.c)]
 
     def test_distant_members_same_residue(self):
         params = BoundParams.from_ratio(2, 1.0)
@@ -159,7 +164,7 @@ class TestDecompose:
         off = Offsets(b=(0.0,), cell_offset=0.25, clearance=0.2, seed=0, attempts=1)
         dec = decompose(nf, off)
         assert dec.line_keys[0, 0] == 0 and dec.line_keys[1, 0] == 10
-        assert dec.line_residues[0, 0] == dec.line_residues[1, 0]
+        assert [dec.block_of(key)[0] for key in dec.classes()] == [(0,), (0,)]
 
     def test_empty_family(self, unit_square):
         nf = normalize(translates(unit_square, []))
@@ -172,14 +177,14 @@ class TestPoset:
     def test_stacked_chain(self, unit_square):
         fam = translates(unit_square, [(0, 0), (0, 2), (0, 4)])
         nf = normalize(fam)
-        poset = build_poset([0, 1, 2], nf)
+        poset = build_poset([0, 1, 2], nf, build_graph(fam))
         chains = chain_partition(poset)
         assert len(chains) == 1 and len(chains[0]) == 3
 
     def test_intersecting_antichain(self, unit_square):
         fam = translates(unit_square, [(0, 0), (0.2, 0.1), (0.1, 0.3)])
         nf = normalize(fam)
-        poset = build_poset([0, 1, 2], nf)
+        poset = build_poset([0, 1, 2], nf, build_graph(fam))
         assert not poset.relation.any()
         assert len(chain_partition(poset)) == 3
         assert len(antichain_partition(poset)) == 1
@@ -189,7 +194,7 @@ class TestPoset:
         centers = [(float(x), float(y)) for x, y in rng.uniform(0, 3, size=(4, 2))]
         fam = translates(unit_square, centers)
         nf = normalize(fam)
-        poset = build_poset([0, 1, 2, 3], nf)
+        poset = build_poset([0, 1, 2, 3], nf, build_graph(fam))
         for a in range(4):
             for b in range(4):
                 if a == b:
@@ -203,7 +208,7 @@ class TestPoset:
     def test_total_order_partitions(self, unit_square):
         fam = translates(unit_square, [(0, 2 * i) for i in range(4)])
         nf = normalize(fam)
-        poset = build_poset([0, 1, 2, 3], nf)
+        poset = build_poset([0, 1, 2, 3], nf, build_graph(fam))
         assert len(antichain_partition(poset)) == 4
         assert len(chain_partition(poset)) == 1
 
@@ -214,10 +219,37 @@ class TestPoset:
             dec = decompose(nf, choose_offsets(nf, seed=seed))
             g = build_graph(fam)
             for key, members in dec.classes().items():
-                poset = build_poset(members, nf)
+                poset = build_poset(members, nf, g)
                 sub = g.subgraph(members)
                 assert len(chain_partition(poset)) == max_clique(sub).value
                 assert len(antichain_partition(poset)) == max_independent_set(sub).value
+
+    @pytest.mark.parametrize("body,scale", [
+        (ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]), 0.5),
+        (ConvexBody.disk(), math.sqrt(2) / 4),
+        (ConvexBody.polygon([(0, 0), (1, 0), (0.8, 0.6), (0.3, 1.0), (0.05, 0.5)]), 1.0),
+    ], ids=["triangle", "disk", "irregular-5-gon"])
+    def test_relation_matches_the_per_class_adjacency_on_tangent_grids(self, body, scale):
+        grid = grid_family(body, 2)
+        fam = Family(body=body, placements=tuple(Placement(tuple(c), scale)
+                                                 for c in grid.centers()))
+        nf = normalize(fam)
+        g = build_graph(fam)
+        tangent = 0
+        for seed in range(8):
+            for members in decompose(nf, choose_offsets(nf, seed=seed)).classes().values():
+                tangent += sum(abs(pair_margin(body, fam.placements[a], fam.placements[b])) < 1e-12
+                               for a in members for b in members if a < b)
+                # the relation as built from one adjacency call per class
+                last = nf.refs[members, 1]
+                disjoint = ~pairwise_adjacency(body, fam.centers()[members],
+                                               fam.scales()[members])
+                np.fill_diagonal(disjoint, False)
+                expected = disjoint & (last[:, None] < last[None, :])
+                relation = build_poset(members, nf, g).relation
+                assert relation.dtype == bool
+                assert np.array_equal(relation, expected)
+        assert tangent > 0   # some classes hold tangent pairs
 
     def test_intransitive_relation_rejected(self):
         rel = np.zeros((3, 3), dtype=bool)
