@@ -257,7 +257,7 @@ def cmd_color(args) -> int:
     rep, checks = run.coloring(args.method)
     oracles = {"omega": _exact(run.omega), "omega_capped": run.omega.capped,
                **_kappa_oracles(run, rep)}
-    return run.finish(f"color --method {args.method}", {"coloring": rep.to_json()},
+    return run.finish(f"color --method {args.method}", {"coloring": rep},
                       oracles, checks, run.omega.capped)
 
 
@@ -265,12 +265,30 @@ def cmd_partition(args) -> int:
     run = _Run(args)
     rep, checks = run.partition(args.method)
     oracles = {"nu": _exact(run.nu), "nu_capped": run.nu.capped, **_kappa_oracles(run, rep)}
-    return run.finish(f"partition --method {args.method}", {"partition": rep.to_json()},
+    return run.finish(f"partition --method {args.method}", {"partition": rep},
                       oracles, checks, run.nu.capped)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_claims(path: str) -> dict[str, int]:
+    """The omega/nu/chi/theta claims of a --expect file, a JSON object."""
+    with open(path) as fh:
+        claims = json.load(fh)
+    if not isinstance(claims, dict):
+        raise ValueError("claims file must hold a JSON object")
+    claims = {key: claims[key] for key in ("omega", "nu", "chi", "theta") if key in claims}
+    if not all(_is_int(value) for value in claims.values()):
+        raise ValueError(f"claimed invariants must be integers, got {claims}")
+    return claims
 
 
 def cmd_verify(args) -> int:
     run = _Run(args)
+    claims = _load_claims(args.expect) if args.expect else {}
     family, g = run.family, run.graph
     chi_res = chromatic_number(g, cap=run.caps.chi, clique=run.omega)
     theta_res = clique_cover_number(g, cap=run.caps.chi, independent=run.nu)
@@ -291,12 +309,12 @@ def cmd_verify(args) -> int:
     methods = ["translates", "symmetrized"] if family.is_translate_family else ["homothets"]
     for method in methods if len(family) else []:
         crep, cchecks = run.coloring(method)
-        outputs[f"coloring_{method}"] = crep.to_json()
+        outputs[f"coloring_{method}"] = crep
         checks.extend(cchecks)
         if chi is not None:
             checks.append(_check(f"chi<=colors[{method}]", chi, crep.colors_used))
         prep, pchecks = run.partition(method)
-        outputs[f"partition_{method}"] = prep.to_json()
+        outputs[f"partition_{method}"] = prep
         checks.extend(pchecks)
         if theta is not None:
             checks.append(_check(f"theta<=classes[{method}]", theta, prep.classes_used))
@@ -305,19 +323,12 @@ def cmd_verify(args) -> int:
                     _check(f"theta<=piercing[{method}]", theta, prep.piercing_points_used)
                 )
 
-    if args.expect:
-        with open(args.expect) as fh:
-            expected = json.load(fh)
-        for key in ("omega", "nu", "chi", "theta"):
-            if key in expected:
-                actual = oracles.get(key)
-                ok = actual is not None and int(expected[key]) == actual
-                checks.append(_flag(f"claim[{key}={expected[key]}]", ok))
-                if not ok:
-                    print(
-                        f"claim mismatch: {key} claimed {expected[key]}, computed {actual}",
-                        file=sys.stderr,
-                    )
+    for key, claimed in claims.items():
+        ok = claimed == oracles[key]
+        checks.append(_flag(f"claim[{key}={claimed}]", ok))
+        if not ok:
+            print(f"claim mismatch: {key} claimed {claimed}, computed {oracles[key]}",
+                  file=sys.stderr)
     return run.finish("verify", outputs, oracles, checks, capped)
 
 
@@ -328,16 +339,14 @@ _SVG_PALETTE = [
 
 
 def _extract_colors(obj) -> list[int]:
-    if isinstance(obj, list):
-        return [int(c) for c in obj]
+    """The integer colors of a list, a coloring report or a run report."""
     if isinstance(obj, dict):
-        if "colors" in obj:
-            return [int(c) for c in obj["colors"]]
-        outputs = obj.get("outputs", {})
-        for value in outputs.values():
-            if isinstance(value, dict) and "colors" in value:
-                return [int(c) for c in value["colors"]]
-    raise ValueError("coloring file carries no per-member colors")
+        outputs = obj.get("outputs")
+        reports = [obj, *outputs.values()] if isinstance(outputs, dict) else [obj]
+        obj = next((r["colors"] for r in reports if isinstance(r, dict) and "colors" in r), None)
+    if isinstance(obj, list) and all(_is_int(c) for c in obj):
+        return obj
+    raise ValueError("coloring file carries no list of integer per-member colors")
 
 
 def family_svg(family: Family, colors: list[int] | None = None) -> str:
@@ -458,7 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryError, ConstructionError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConstructionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -652,19 +652,9 @@ def _start_index(verts: np.ndarray) -> int:
 
 
 def minkowski_sum(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Minkowski sum of two convex CCW polygons by sorted edge-vector merge.
-
-    A single-vertex "polygon" is treated as a translation of the other operand.
-    """
+    """Minkowski sum of two convex CCW polygons by sorted edge-vector merge."""
     if a.kind != "polygon2d" or b.kind != "polygon2d":
         raise GeometryError("minkowski_sum is defined for polygon2d bodies")
-    if len(a.vertices) == 1:
-        a, b = b, a
-    if len(b.vertices) == 1:
-        dx, dy = b.vertices[0]
-        if len(a.vertices) == 1:
-            return ConvexBody(kind="polygon2d", vertices=((a.vertices[0][0] + dx, a.vertices[0][1] + dy),))
-        return ConvexBody.polygon([(x + dx, y + dy) for x, y in a.vertices])
     if len(a.vertices) < 3 or len(b.vertices) < 3:
         raise GeometryError("degenerate polygon in minkowski_sum")
 

@@ -1,11 +1,11 @@
 """Intersection graphs and exact invariants: max clique, max independent set,
 chromatic number, and clique-cover number, all with verifiable witnesses.
 
-A graph holds its adjacency twice, built once: `rows`, one bitmask per
-member, which the exact solvers walk, and `matrix`, the same adjacency as a
-read-only boolean n x n array, which every other reader slices or masks
-(edges, complements, subgraphs, the coloring check, the translate posets and
-the homothet rounds).
+A graph is one read-only boolean n x n adjacency matrix, checked once on
+construction; every reader slices or masks it (edges, complements, subgraphs,
+the coloring and clique-partition checks, the translate posets and the
+homothet rounds).  The exact solvers work on `rows`, one bitmask per member,
+packed from the matrix on first use.
 
 Solvers are exact and deterministic (lowest-index tie-breaking).  Instances
 above the caps return explicit "capped" results carrying bounds instead of
@@ -14,7 +14,8 @@ silently degrading to heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,57 +41,53 @@ class SolverCaps:
     chi: int = DEFAULT_CHI_CAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionGraph:
-    """Undirected graph over family members; rows are adjacency bitmasks.
+    """Undirected graph over family members, held as one read-only boolean
+    adjacency matrix; equality is identity."""
 
-    `matrix` is the same adjacency as a read-only boolean array, set from the
-    rows on construction; it is not a field, so equality and hashing rest on
-    the rows alone.
-    """
-
-    member_count: int
-    rows: tuple[int, ...]
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = self.member_count
-        if len(self.rows) != n:
-            raise ValueError("adjacency needs one row per member")
-        for i, row in enumerate(self.rows):
-            if row >> n:
-                raise ValueError("adjacency row exceeds member count")
-            if (row >> i) & 1:
-                raise ValueError("adjacency must be irreflexive")
-        width = (n + 7) // 8
-        raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows),
-                            dtype=np.uint8).reshape(n, width)
-        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
-        if not (bits == bits.T).all():
+        matrix = np.array(self.matrix)
+        if matrix.dtype != bool or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("adjacency must be a square boolean matrix, "
+                             f"got {matrix.dtype} of shape {matrix.shape}")
+        if matrix.diagonal().any():
+            raise ValueError("adjacency must be irreflexive")
+        if not (matrix == matrix.T).all():
             raise ValueError("adjacency must be symmetric")
-        bits.setflags(write=False)
-        object.__setattr__(self, "matrix", bits)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @staticmethod
     def from_matrix(adj: np.ndarray) -> "IntersectionGraph":
-        """Row i has bit j set where adj[i, j] is true and j != i."""
+        """The graph of adj's nonzero entries; the diagonal is ignored."""
         mask = np.array(adj, dtype=bool)
-        n = len(mask)
-        if mask.shape != (n, n):
-            raise ValueError(f"adjacency matrix must be square, got shape {mask.shape}")
         np.fill_diagonal(mask, False)
-        packed = np.packbits(mask, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return IntersectionGraph(member_count=n, rows=rows)
+        return IntersectionGraph(mask)
+
+    @property
+    def member_count(self) -> int:
+        return len(self.matrix)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """One bitmask per member, bit j of row i set where i and j are
+        adjacent: the working form of the exact solvers."""
+        packed = np.packbits(self.matrix, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        return self.matrix.sum(axis=1).tolist()
 
     def adjacent(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        return bool(self.matrix[i, j])
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (i, j) with i < j, in row-major order."""
         return [(i, j) for i, j in np.argwhere(np.triu(self.matrix)).tolist()]
-
-    def degree(self, i: int) -> int:
-        return bin(self.rows[i]).count("1")
 
     def complement(self) -> "IntersectionGraph":
         return IntersectionGraph.from_matrix(~self.matrix)
@@ -163,7 +160,8 @@ def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResul
 
 
 def _greedy_clique(g: IntersectionGraph) -> list[int]:
-    order = sorted(range(g.member_count), key=lambda i: (-g.degree(i), i))
+    degrees = g.degrees
+    order = sorted(range(g.member_count), key=lambda i: (-degrees[i], i))
     clique: list[int] = []
     mask = (1 << g.member_count) - 1
     for v in order:
@@ -183,10 +181,11 @@ def greedy_coloring(g: IntersectionGraph) -> list[int]:
     n = g.member_count
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    degrees = g.degrees
     for _ in range(n):
         v = max(
             (i for i in range(n) if colors[i] == -1),
-            key=lambda i: (len(neighbor_colors[i]), g.degree(i), -i),
+            key=lambda i: (len(neighbor_colors[i]), degrees[i], -i),
         )
         c = 0
         while c in neighbor_colors[v]:
@@ -214,12 +213,13 @@ def _k_coloring(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...]) -> l
             neighbor_colors[u].add(c)
 
     uncolored = [i for i in range(n) if colors[i] == -1]
+    degrees = g.degrees
 
     def pick() -> int | None:
         cand = [i for i in uncolored if colors[i] == -1]
         if not cand:
             return None
-        return max(cand, key=lambda i: (len(neighbor_colors[i]), g.degree(i), -i))
+        return max(cand, key=lambda i: (len(neighbor_colors[i]), degrees[i], -i))
 
     def backtrack(used: int) -> bool:
         v = pick()
@@ -300,15 +300,15 @@ def verify_clique_partition(g: IntersectionGraph, assignment) -> bool:
     """True iff every class of the assignment is pairwise adjacent."""
     if len(assignment) != g.member_count:
         raise IndexError("assignment must cover all members")
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(assignment):
-        classes.setdefault(c, []).append(i)
-    return all(_is_clique(g, members) for members in classes.values())
+    classes = np.asarray(assignment)
+    same = classes[:, None] == classes[None, :]
+    np.fill_diagonal(same, False)
+    return not (same & ~g.matrix).any()
 
 
 def _is_clique(g: IntersectionGraph, members) -> bool:
-    mask = sum(1 << v for v in set(members))
-    return all(mask & ~(g.rows[v] | 1 << v) == 0 for v in members)
+    members = list(set(members))
+    return bool((g.matrix[np.ix_(members, members)] | np.eye(len(members), dtype=bool)).all())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ identical inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 def canonical_json(obj: dict) -> str:
@@ -15,6 +15,10 @@ def canonical_json(obj: dict) -> str:
 
 
 def _strip_none(value):
+    """JSON-ready copy of value: dataclasses become dicts of their fields,
+    tuples become lists, and None entries of every dict are dropped."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _strip_none(v) for k, v in value.items() if v is not None}
     if isinstance(value, (list, tuple)):
@@ -48,9 +52,6 @@ class ColoringReport:
     block_labels: tuple | None = None
     classes: tuple[ClassSummary, ...] | None = None
 
-    def to_json(self) -> dict:
-        return _strip_none(asdict(self))
-
 
 @dataclass(frozen=True)
 class PartitionReport:
@@ -69,9 +70,6 @@ class PartitionReport:
     seed: int | None = None
     params: dict | None = None
     classes: tuple[ClassSummary, ...] | None = None
-
-    def to_json(self) -> dict:
-        return _strip_none(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class RunReport:
             "seed": self.seed,
             "outputs": _strip_none(self.outputs),
             "oracles": _strip_none(self.oracles),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": _strip_none(self.checks),
             "capped": self.capped,
             "all_passed": self.all_passed,
         }

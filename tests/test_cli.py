@@ -149,6 +149,20 @@ class TestVerify:
         assert run(["verify", "--in", str(pentagon2), "--expect", str(claim),
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("text", [
+        '{"omega": null}', '{"omega": [4]}', '[1, 2]', '{"omega": 4.5}', '{"chi": "5"}',
+        '{"nu": true}', '"omega"',
+    ])
+    def test_malformed_claims_exit_4_with_one_line(self, pentagon2, tmp_path, capsys, text):
+        claim = tmp_path / "claim.json"
+        claim.write_text(text)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--in", str(pentagon2), "--expect", str(claim),
+                    "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_capped_exit(self, grid2, tmp_path):
         assert run(["verify", "--in", str(grid2), "--caps", "omega=100,chi=10",
                     "--out", str(tmp_path / "r.json")]) == EXIT_CAPPED
@@ -316,6 +330,19 @@ class TestExport:
                     "--coloring", str(colors), "--out", str(out)]) == EXIT_OK
         fills = set(re.findall(r'fill="(#\w+)"', out.read_text()))
         assert len(fills) == 5
+
+    @pytest.mark.parametrize("obj", [
+        {"colors": [None] * 10}, {"outputs": []}, {"colors": 5}, [1.5] * 10,
+        {"outputs": {"coloring": {"colors": [True] * 10}}}, {"outputs": {"coloring": 3}}, "0",
+    ])
+    def test_svg_malformed_coloring_exits_4_with_one_line(self, pentagon2, tmp_path, capsys,
+                                                          obj):
+        colors = tmp_path / "colors.json"
+        colors.write_text(json.dumps(obj))
+        assert run(["export", "--in", str(pentagon2), "--format", "svg",
+                    "--coloring", str(colors), "--out", str(tmp_path / "x.svg")]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_svg_rejects_3d(self, tmp_path):
         fam = tmp_path / "b3.json"

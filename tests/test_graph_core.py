@@ -19,6 +19,7 @@ from convex_chroma.graph_core import (
     clique_cover_number,
     compute_invariants,
     from_dimacs,
+    greedy_coloring,
     max_clique,
     max_independent_set,
     to_dimacs,
@@ -64,17 +65,39 @@ class TestBuildGraph:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IntersectionGraph(member_count=2, rows=(1, 0))  # asymmetric
+            IntersectionGraph(np.array([[False, True], [False, False]]))  # asymmetric
 
     @pytest.mark.parametrize("rows", [
-        (0b010, 0b000, 0b000),     # 0 -> 1 without 1 -> 0
-        (0b000, 0b000, 0b010),     # 2 -> 1 without 1 -> 2
-        (0b001, 0b000, 0b000),     # a self-loop
-        (0b1010, 0b0001, 0b0000),  # a bit past the member count
-    ], ids=["asymmetric-forward", "asymmetric-backward", "reflexive", "oversized"])
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],              # 0 -> 1 without 1 -> 0
+        [[0, 0, 0], [0, 0, 0], [0, 1, 0]],              # 2 -> 1 without 1 -> 2
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],              # a self-loop
+        [[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0]],     # a column past the member count
+        [[0, 1, 0], [1, 0, 0]],                         # a member without a row
+        [0, 1, 0],                                      # one row, not a matrix
+    ], ids=["asymmetric-forward", "asymmetric-backward", "reflexive", "oversized",
+            "undersized", "one-dimensional"])
     def test_invalid_rows_rejected(self, rows):
         with pytest.raises(ValueError):
-            IntersectionGraph(member_count=3, rows=rows)
+            IntersectionGraph(np.array(rows, dtype=bool))
+
+    def test_non_boolean_matrix_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            IntersectionGraph(np.zeros((3, 3), dtype=int))
+
+    def test_from_matrix_clears_the_diagonal(self):
+        adj = np.ones((4, 4), dtype=bool)
+        g = IntersectionGraph.from_matrix(adj)
+        assert not g.matrix.diagonal().any() and g.matrix.sum() == 12
+        assert adj.all()
+
+    @pytest.mark.parametrize("make", [IntersectionGraph, IntersectionGraph.from_matrix])
+    def test_the_callers_array_stays_writable_and_unaliased(self, make):
+        adj = random_graph(3, 12, p=0.4)
+        g = make(adj)
+        assert adj.flags.writeable and not np.shares_memory(adj, g.matrix)
+        before = g.matrix.copy()
+        adj[0, 1] = adj[1, 0] = not adj[0, 1]
+        assert np.array_equal(g.matrix, before)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 131])
     def test_from_matrix_rows_match_the_bit_formula(self, n):
@@ -125,7 +148,7 @@ def reference_subgraph_rows(g: IntersectionGraph, members: list[int]) -> tuple[i
 
 
 class TestMatrix:
-    """`matrix` is the rows' adjacency as a read-only boolean array, whichever
+    """`matrix` is a read-only boolean array and `rows` are its bits, whichever
     way the graph was made."""
 
     @staticmethod
@@ -147,11 +170,19 @@ class TestMatrix:
             with pytest.raises(ValueError):
                 g.matrix[0, 0] = True
 
-    def test_equality_and_hash_rest_on_rows(self):
+    def test_equality_is_identity(self):
         g = IntersectionGraph.from_matrix(random_graph(2, 10))
-        again = IntersectionGraph(member_count=10, rows=g.rows)
-        assert g == again and hash(g) == hash(again)
+        again = IntersectionGraph(g.matrix)
+        assert np.array_equal(g.matrix, again.matrix) and g != again
+        assert g == g and hash(g) == hash(g)
         assert "matrix" not in repr(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 40, 200])
+    def test_degrees_are_the_bit_counts_of_the_rows(self, n):
+        g = IntersectionGraph.from_matrix(random_graph(n, n, p=0.3))
+        assert g.degrees == [bin(row).count("1") for row in g.rows]
+        assert all(type(d) is int for d in g.degrees)
+        assert g.rows is g.rows and g.degrees is g.degrees
 
     @pytest.mark.parametrize("seed", range(6))
     def test_edges_complement_and_subgraph_match_the_bit_walk(self, seed):
@@ -174,6 +205,104 @@ class TestMatrix:
                 assert verify_coloring(g, colors) == expected
         with pytest.raises(IndexError):
             verify_coloring(c5_graph(), [0, 1, 0, 1])
+
+    def test_verify_clique_partition_matches_the_class_walk(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 9, 30):
+            for p in (0.3, 0.9):
+                g = IntersectionGraph.from_matrix(random_graph(n, n, p=p))
+                for classes in (2, n // 2 + 1, n + 1):
+                    assignment = rng.integers(0, classes, size=n).tolist()
+                    expected = reference_clique_partition(g, assignment)
+                    assert verify_clique_partition(g, assignment) == expected
+        with pytest.raises(IndexError):
+            verify_clique_partition(c5_graph(), [0, 1, 0, 1])
+
+
+def reference_clique_partition(g: IntersectionGraph, assignment) -> bool:
+    """The per-class bitmask test: each class is a subset of every member's
+    closed neighbourhood."""
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(assignment):
+        classes.setdefault(c, []).append(i)
+    for members in classes.values():
+        mask = sum(1 << v for v in members)
+        if any(mask & ~(g.rows[v] | 1 << v) for v in members):
+            return False
+    return True
+
+
+def reference_dsatur(g: IntersectionGraph) -> list[int]:
+    """DSATUR with the degree read as the bit count of a member's row."""
+    n = g.member_count
+    colors = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(n):
+        v = max((i for i in range(n) if colors[i] == -1),
+                key=lambda i: (len(seen[i]), bin(g.rows[i]).count("1"), -i))
+        c = min(set(range(n + 1)) - seen[v])
+        colors[v] = c
+        for u in _bit_walk(g.rows[v]):
+            seen[u].add(c)
+    return colors
+
+
+def reference_k_coloring(g: IntersectionGraph, k: int, seed_clique) -> list[int] | None:
+    """The DSATUR-ordered backtracking of `chromatic_number`, bit-count degrees."""
+    n = g.member_count
+    colors = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]
+    for c, v in enumerate(seed_clique):
+        colors[v] = c
+        for u in _bit_walk(g.rows[v]):
+            seen[u].add(c)
+
+    def backtrack(used: int) -> bool:
+        cand = [i for i in range(n) if colors[i] == -1]
+        if not cand:
+            return True
+        v = max(cand, key=lambda i: (len(seen[i]), bin(g.rows[i]).count("1"), -i))
+        for c in range(min(k, used + 1)):
+            if c in seen[v]:
+                continue
+            colors[v] = c
+            touched = [u for u in _bit_walk(g.rows[v]) if colors[u] == -1 and c not in seen[u]]
+            for u in touched:
+                seen[u].add(c)
+            if backtrack(max(used, c + 1)):
+                return True
+            colors[v] = -1
+            for u in touched:
+                seen[u].discard(c)
+        return False
+
+    return colors if backtrack(len(seed_clique)) else None
+
+
+def reference_chromatic_witness(g: IntersectionGraph, cap: int) -> tuple[int, ...]:
+    greedy = reference_dsatur(g)
+    if g.member_count == 0 or g.member_count > cap:
+        return tuple(greedy)
+    clique = max_clique(g, cap=cap)
+    for k in range(clique.value, max(greedy) + 1):
+        witness = reference_k_coloring(g, k, clique.witness)
+        if witness is not None:
+            return tuple(witness)
+    return tuple(greedy)
+
+
+class TestDsatur:
+    """DSATUR reads each degree from the graph's one degree list; the
+    colorings equal those of the bit-count reference."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 40, 200])
+    def test_greedy_and_exact_witnesses_match_the_reference(self, n):
+        for seed, p in ((n, 0.2), (n + 1, 0.5)):
+            g = IntersectionGraph.from_matrix(random_graph(seed, n, p=p))
+            for graph in (g, g.complement()):
+                assert greedy_coloring(graph) == reference_dsatur(graph)
+                witness = chromatic_number(graph, cap=45).witness
+                assert witness == reference_chromatic_witness(graph, cap=45)
 
 
 class TestMaxClique:
