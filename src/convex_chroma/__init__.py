@@ -7,7 +7,6 @@ from .covering import (
     CoverReport,
     cover_by_translates,
     known_certificate,
-    known_kappa,
     verify_certificate,
 )
 from .constructions import (

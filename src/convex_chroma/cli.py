@@ -280,7 +280,11 @@ def _load_claims(path: str) -> dict[str, int]:
         claims = json.load(fh)
     if not isinstance(claims, dict):
         raise ValueError("claims file must hold a JSON object")
-    claims = {key: claims[key] for key in ("omega", "nu", "chi", "theta") if key in claims}
+    known = ("omega", "nu", "chi", "theta")
+    unknown = sorted(set(claims) - set(known))
+    if unknown:
+        raise ValueError(f"unknown claim keys {unknown} (expected {', '.join(known)})")
+    claims = {key: claims[key] for key in known if key in claims}
     if not all(_is_int(value) for value in claims.values()):
         raise ValueError(f"claimed invariants must be integers, got {claims}")
     return claims

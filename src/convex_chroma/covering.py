@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ConvexBody, GeometryError, _shape, halton
+from .geometry import TOL, ConvexBody, GeometryError, _shape, halton
 
-SAMPLE_TOL = 1e-9
 BOUNDARY_SAMPLES = 1000
 DEFAULT_SAMPLES = 100_000
 
@@ -82,7 +81,7 @@ def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
     chunk = max(count, 1024)
     while have < count:
         raw = lo + halton(chunk, dim, start=start) * (hi - lo)
-        mask = shape.point_margins(scale, raw)(np.zeros(dim)) >= -SAMPLE_TOL
+        mask = shape.point_margins(scale, raw)(np.zeros(dim)) >= -TOL
         take = raw[mask]
         accepted.append(take)
         have += len(take)
@@ -109,15 +108,10 @@ def difference_cover_ceiling(n: int) -> int:
     return 3 ** (n + 1) * 2 ** n
 
 
-def known_kappa(body: ConvexBody) -> tuple[int, tuple[tuple[float, ...], ...]] | None:
-    """Known covering counts for C-C by C: boxes 2^n (orthant translates),
-    disk 7 (hexagonal configuration); None for other bodies."""
-    known = _shape(body).known_cover(body)
-    return None if known is None else (len(known[2]), known[2])
-
-
 def known_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> CoveringCertificate | None:
-    """Verified certificate that C-C is covered by known_kappa(C) translates of C."""
+    """Verified certificate that C-C is covered by the known translates of C:
+    2^n orthant translates for a box, 7 (hexagonal configuration) for the disk;
+    None for other bodies."""
     known = _shape(body).known_cover(body)
     if known is None:
         return None
@@ -176,7 +170,7 @@ def cover_by_translates(
     margins = _shape(unit).point_margins(unit_scale, pts)
     coverage = np.zeros((len(grid), len(pts)), dtype=bool)
     for k, v in enumerate(grid):
-        coverage[k] = margins(v) >= -SAMPLE_TOL
+        coverage[k] = margins(v) >= -TOL
     useful = coverage.any(axis=1)
     grid, coverage = grid[useful], coverage[useful]
     counts = coverage.sum(axis=0)
@@ -219,5 +213,5 @@ def _cover_report(cert: CoveringCertificate, pts: np.ndarray) -> CoverReport:
     best = np.full(len(pts), -np.inf)
     for v in cert.translations:
         best = np.maximum(best, margins(np.asarray(v)))
-    uncovered = int((best < -SAMPLE_TOL).sum())
+    uncovered = int((best < -TOL).sum())
     return CoverReport(samples=len(pts), uncovered=uncovered, worst_margin=float(best.min()))

@@ -250,6 +250,13 @@ class _Shape:
         """Piercing candidates tried before the certificate's points."""
         return []
 
+    def normalizing_map(self, body: ConvexBody, scale: float) -> tuple[np.ndarray, float]:
+        """The linear map taking the fitted parallelogram of scale*C to the
+        unit cube, and the fit ratio."""
+        fit = inscribed_parallelogram(body)
+        basis = scale * np.array([fit.u, fit.v]).T
+        return 0.5 * np.linalg.inv(basis), fit.ratio
+
 
 class _Polygon(_Shape):
     def __init__(self, vertices):
@@ -604,6 +611,12 @@ class _Box(_Shape):
 
     def chebyshev_ball(self, scale: float) -> tuple[np.ndarray, float]:
         return np.zeros(self.dimension), scale * min(self.sides) / 2.0
+
+    def normalizing_map(self, body: ConvexBody, scale: float) -> tuple[np.ndarray, float]:
+        """A box of any dimension <= 6 is its own fit (ratio 1)."""
+        if self.dimension > 6:
+            raise GeometryError("box translate coloring supports dimension <= 6")
+        return np.diag(1.0 / (scale * np.asarray(self.sides))), 1.0
 
     def corners(self, center: np.ndarray, scale: float) -> list[np.ndarray]:
         half = scale * np.asarray(self.sides) / 2.0

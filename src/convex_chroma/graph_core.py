@@ -5,7 +5,9 @@ A graph is one read-only boolean n x n adjacency matrix, checked once on
 construction; every reader slices or masks it (edges, complements, subgraphs,
 the coloring and clique-partition checks, the translate posets and the
 homothet rounds).  The exact solvers work on `rows`, one bitmask per member,
-packed from the matrix on first use.
+packed from the matrix on first use.  The complement is built once and kept,
+so alpha/nu and theta share its packing and degree list.  One iterative DSATUR
+search gives both the greedy coloring and the exact chromatic number.
 
 Solvers are exact and deterministic (lowest-index tie-breaking).  Instances
 above the caps return explicit "capped" results carrying bounds instead of
@@ -89,8 +91,13 @@ class IntersectionGraph:
         """Every edge (i, j) with i < j, in row-major order."""
         return [(i, j) for i, j in np.argwhere(np.triu(self.matrix)).tolist()]
 
-    def complement(self) -> "IntersectionGraph":
+    @cached_property
+    def _complement(self) -> "IntersectionGraph":
         return IntersectionGraph.from_matrix(~self.matrix)
+
+    def complement(self) -> "IntersectionGraph":
+        """The complement graph, built on first use and kept."""
+        return self._complement
 
     def subgraph(self, members: list[int]) -> "IntersectionGraph":
         return IntersectionGraph.from_matrix(self.matrix[np.ix_(members, members)])
@@ -143,11 +150,11 @@ def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResul
             if len(r) > len(best):
                 best = r[:]
             return
-        if len(r) + bin(p).count("1") <= len(best):
+        if len(r) + p.bit_count() <= len(best):
             return
         pivot, pivot_deg = -1, -1
         for u in _bits(p | x):
-            d = bin(p & rows[u]).count("1")
+            d = (p & rows[u]).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = u, d
         for v in _bits(p & ~rows[pivot]):
@@ -176,75 +183,56 @@ def max_independent_set(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> S
     return max_clique(g.complement(), cap=cap)
 
 
-def greedy_coloring(g: IntersectionGraph) -> list[int]:
-    """DSATUR greedy proper coloring (upper bound for the exact search)."""
+def _dsatur(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...] = ()) -> list[int] | None:
+    """DSATUR search (Brelaz 1979) for a proper coloring with at most
+    k >= len(seed_clique) colors, or None.  The uncolored member with the most
+    distinct neighbour colors (then the highest degree, then the lowest index)
+    takes the lowest free color, opening at most one new color at a time; a dead
+    end pops the frame stack, whose frames keep the neighbours each choice marked.
+    With k >= n no member runs out of colors, so the first descent is the greedy
+    coloring.  The seed clique gets distinct colors: it prunes and breaks symmetry."""
     n = g.member_count
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = g.degrees
-    for _ in range(n):
-        v = max(
-            (i for i in range(n) if colors[i] == -1),
-            key=lambda i: (len(neighbor_colors[i]), degrees[i], -i),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for u in _bits(g.rows[v]):
-            neighbor_colors[u].add(c)
-    return colors
-
-
-def _k_coloring(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...]) -> list[int] | None:
-    """DSATUR-ordered backtracking decision procedure for k-colorability.
-
-    The seed clique is pre-colored with distinct colors, which both prunes and
-    breaks color symmetry; new colors are introduced at most one at a time.
-    """
-    n = g.member_count
-    if len(seed_clique) > k:
-        return None
+    rows, degrees = g.rows, g.degrees
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     for c, v in enumerate(seed_clique):
         colors[v] = c
-        for u in _bits(g.rows[v]):
+        for u in _bits(rows[v]):
             neighbor_colors[u].add(c)
-
     uncolored = [i for i in range(n) if colors[i] == -1]
-    degrees = g.degrees
-
-    def pick() -> int | None:
-        cand = [i for i in uncolored if colors[i] == -1]
-        if not cand:
-            return None
-        return max(cand, key=lambda i: (len(neighbor_colors[i]), degrees[i], -i))
-
-    def backtrack(used: int) -> bool:
-        v = pick()
+    free = sum(1 << i for i in uncolored)
+    frames: list[tuple[int, int, int, list[int]]] = []   # member, color, colors used before, marked
+    v, first, used = None, 0, len(seed_clique)
+    while uncolored:
         if v is None:
-            return True
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = []
-            for u in _bits(g.rows[v]):
-                if colors[u] == -1 and c not in neighbor_colors[u]:
-                    neighbor_colors[u].add(c)
-                    touched.append(u)
-            if backtrack(max(used, c + 1)):
-                return True
-            colors[v] = -1
+            v, first = max(uncolored, key=lambda i: (len(neighbor_colors[i]), degrees[i], -i)), 0
+        for c in range(first, min(k, used + 1)):
+            if c not in neighbor_colors[v]:
+                break
+        else:   # no color left for v: undo the last choice
+            if not frames:
+                return None
+            v, c, used, touched = frames.pop()
+            uncolored.append(v)
+            free |= 1 << v
             for u in touched:
                 neighbor_colors[u].discard(c)
-        return False
+            first = c + 1
+            continue
+        colors[v] = c
+        uncolored.remove(v)
+        free ^= 1 << v
+        touched = [u for u in _bits(rows[v] & free) if c not in neighbor_colors[u]]
+        for u in touched:
+            neighbor_colors[u].add(c)
+        frames.append((v, c, used, touched))
+        v, used = None, max(used, c + 1)
+    return colors
 
-    if backtrack(len(seed_clique)):
-        return colors
-    return None
+
+def greedy_coloring(g: IntersectionGraph) -> list[int]:
+    """DSATUR greedy proper coloring (upper bound for the exact search)."""
+    return _dsatur(g, g.member_count)
 
 
 def chromatic_number(
@@ -260,20 +248,13 @@ def chromatic_number(
         clique = max_clique(g, cap=cap)
     elif not _is_clique(g, clique.witness):
         raise ValueError("the given clique is not a clique of the graph")
-    if n > cap:
-        greedy = greedy_coloring(g)
-        return SolveResult(
-            value=None, witness=tuple(greedy), capped=True,
-            lower=clique.value if not clique.capped else clique.lower,
-            upper=max(greedy) + 1,
-        )
-    lb = clique.require()
     greedy = greedy_coloring(g)
     ub = max(greedy) + 1
-    if lb == ub:
-        return SolveResult(value=ub, witness=tuple(greedy))
-    for k in range(lb, ub):
-        witness = _k_coloring(g, k, clique.witness)
+    if n > cap:
+        return SolveResult(value=None, witness=tuple(greedy), capped=True,
+                           lower=clique.lower if clique.capped else clique.value, upper=ub)
+    for k in range(clique.require(), ub):
+        witness = _dsatur(g, k, clique.witness)
         if witness is not None:
             return SolveResult(value=k, witness=tuple(witness))
     return SolveResult(value=ub, witness=tuple(greedy))
@@ -375,6 +356,5 @@ def from_dimacs(text: str) -> IntersectionGraph:
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i + 1},{j + 1}) out of range")
-        if i != j:
-            adj[i, j] = adj[j, i] = True
+        adj[i, j] = adj[j, i] = True   # from_matrix clears the diagonal
     return IntersectionGraph.from_matrix(adj)

@@ -20,11 +20,9 @@ import numpy as np
 
 from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
 from .families import Family
-from .geometry import ConvexBody, GeometryError, _shape, scale_body, symmetrize
+from .geometry import TOL, ConvexBody, GeometryError, _shape, scale_body, symmetrize
 from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
-
-PIERCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class PiercingAssignment:
 
 
 def _member_contains(body: ConvexBody, center: np.ndarray, scale: float, pts: np.ndarray) -> np.ndarray:
-    return _shape(body).point_margins(scale, pts)(center) >= -PIERCE_TOL
+    return _shape(body).point_margins(scale, pts)(center) >= -TOL
 
 
 def pierce_intersecting_smallest(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .geometry import GeometryError, inscribed_parallelogram
+from .geometry import GeometryError, _shape
 from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ClassSummary, ColoringReport, PartitionReport
 
@@ -140,18 +140,8 @@ def normalize(family: Family) -> NormalizedFamily:
         raise GeometryError("normalize expects a translate family (uniform scale)")
     body = family.body
     scale = float(family.scales()[0]) if len(family) else 1.0
-    if body.kind == "box":
-        n = body.dimension
-        if n > 6:
-            raise GeometryError("box translate coloring supports dimension <= 6")
-        matrix = np.diag(1.0 / (scale * np.asarray(body.sides)))
-        ratio = 1.0
-    else:
-        n = 2
-        fit = inscribed_parallelogram(body)
-        basis = scale * np.array([fit.u, fit.v]).T
-        matrix = 0.5 * np.linalg.inv(basis)
-        ratio = fit.ratio
+    matrix, ratio = _shape(body).normalizing_map(body, scale)
+    n = body.dimension
     params = BoundParams.from_ratio(n, ratio)
     centers = family.centers()
     refs = centers @ matrix.T if len(family) else np.zeros((0, n))

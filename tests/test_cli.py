@@ -151,7 +151,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("text", [
         '{"omega": null}', '{"omega": [4]}', '[1, 2]', '{"omega": 4.5}', '{"chi": "5"}',
-        '{"nu": true}', '"omega"',
+        '{"nu": true}', '"omega"', '{"alpha": 99}', '{"omega": 4, "thetta": 3}',
     ])
     def test_malformed_claims_exit_4_with_one_line(self, pentagon2, tmp_path, capsys, text):
         claim = tmp_path / "claim.json"
@@ -243,6 +243,22 @@ class TestRunContext:
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert counts == dict.fromkeys(counts, 1)
+
+    def test_translate_verify_builds_one_graph_and_one_complement(self, tmp_path, monkeypatch):
+        fam = tmp_path / "t.json"
+        assert run(["generate", "random", "--body", "triangle", "--count", "12",
+                    "--window", "0,3", "--seed", "3", "--out", str(fam)]) == EXIT_OK
+        original = graph_core.IntersectionGraph.from_matrix
+        sizes = []
+
+        def counted(adj):
+            sizes.append(len(adj))
+            return original(adj)
+
+        monkeypatch.setattr(graph_core.IntersectionGraph, "from_matrix", staticmethod(counted))
+        assert run(["verify", "--in", str(fam), "--samples", "20000",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert sizes == [12, 12]   # the graph, then the one complement nu and theta share
 
     def test_translate_color_computes_adjacency_once(self, tmp_path, monkeypatch):
         fam = tmp_path / "t.json"

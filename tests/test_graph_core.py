@@ -170,6 +170,11 @@ class TestMatrix:
             with pytest.raises(ValueError):
                 g.matrix[0, 0] = True
 
+    def test_complement_is_built_once_and_kept(self):
+        g = IntersectionGraph.from_matrix(random_graph(3, 12, p=0.4))
+        assert g.complement() is g.complement()
+        assert g.complement().rows is g.complement().rows
+
     def test_equality_is_identity(self):
         g = IntersectionGraph.from_matrix(random_graph(2, 10))
         again = IntersectionGraph(g.matrix)
@@ -356,6 +361,17 @@ class TestChromaticNumber:
 
     def test_pentagon_k3(self):
         assert chromatic_number(build_graph(pentagon_family(3))).value == 8
+
+    def test_search_depth_is_not_bound_by_the_recursion_limit(self):
+        # pentagon k=3 plus 1,050 isolated members: the successful k = 8
+        # search stacks one frame per member outside the 6-member seed
+        # clique, 1,059 in all, past the default recursion limit of 1,000
+        adj = np.zeros((1065, 1065), dtype=bool)
+        adj[:15, :15] = build_graph(pentagon_family(3)).matrix
+        g = IntersectionGraph.from_matrix(adj)
+        res = chromatic_number(g, cap=2000)
+        assert res.value == 8 and not res.capped
+        assert verify_coloring(g, list(res.witness))
 
     def test_witness_proper(self, unit_square):
         g = build_graph(grid_family(unit_square, 2))
