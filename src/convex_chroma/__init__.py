@@ -11,8 +11,6 @@ from .covering import (
 )
 from .constructions import (
     DensityReport,
-    GridSpec,
-    PentagonSpec,
     VolumeRatioReport,
     density,
     explicit_pentagon_coloring,
@@ -55,7 +53,6 @@ from .graph_core import (
 )
 from .homothet_coloring import (
     PiercingAssignment,
-    SizeOrder,
     clique_partition_homothets,
     color_homothets,
     color_translates_symmetrized,

@@ -25,6 +25,7 @@ from .constructions import (
 )
 from .covering import (
     CoveringCertificate,
+    check_samples,
     cover_by_translates,
     difference_cover_ceiling,
     known_certificate,
@@ -148,6 +149,7 @@ class _Run:
     """
 
     def __init__(self, args):
+        check_samples(args.samples)
         self.caps = _resolve_caps(args.caps)
         self.family = load_family(args.input)
         self.digest = family_digest(self.family)
@@ -183,7 +185,7 @@ class _Run:
     def difference_cert(self) -> CoveringCertificate:
         """kappa(C-C, C) certificate: known for boxes/disk, constructed otherwise."""
         body = self.family.body
-        cert = known_certificate(body, samples=self.samples)
+        cert = known_certificate(body)
         if cert is None:
             target = minkowski_sum(body, reflect(body))
             cert = cover_by_translates(target, body, samples=self.samples)

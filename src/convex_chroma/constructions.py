@@ -28,25 +28,6 @@ class ConstructionError(RuntimeError):
     """A generated family failed its build-time structure check."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    body: ConvexBody
-    m: int
-
-    def build(self) -> Family:
-        return grid_family(self.body, self.m)
-
-
-@dataclass(frozen=True)
-class PentagonSpec:
-    k: int
-    jitter: float = 1e-4
-    circumradius: float = 0.8
-
-    def build(self) -> Family:
-        return pentagon_family(self.k, jitter=self.jitter, circumradius=self.circumradius)
-
-
 def grid_family(body: ConvexBody, m: int, member_cap: int = GRID_MEMBER_CAP) -> Family:
     """m^(2n) translates at the lattice points (t_1/m, ..., t_n/m), t_i in 1..m^2."""
     if m < 1:

@@ -1,14 +1,16 @@
 """Covering certificates: explicit translation sets witnessing that a target
-body is covered by translates of a unit body, verified by deterministic
-low-discrepancy sampling.
+body is covered by translates of a unit body.
 
 These certificates carry the kappa(C-C, C) upper bounds that parameterize the
 homothet coloring bounds.  kappa values are verified upper bounds, not minima.
 
-A build draws its target's sample set once: the lattice cover is pruned on it
-and the finished certificate is checked on the same points.  Point margins are
-computed column by column (one contiguous array per facet normal or axis), and
-`verify_certificate` draws the same set afresh for a given certificate.
+Box and disk covers are proven in closed form (their shapes' `known_cover`
+states the proof) and draw no samples.  Any other cover is a lattice cover
+checked by deterministic low-discrepancy sampling: a build draws its target's
+sample set once, prunes the lattice on it and checks the finished certificate
+on the same points.  Point margins are computed column by column (one
+contiguous array per facet normal or axis), and `verify_certificate` draws
+the same set afresh for any certificate.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .geometry import TOL, ConvexBody, GeometryError, _shape, halton
 
 BOUNDARY_SAMPLES = 1000
 DEFAULT_SAMPLES = 100_000
+MIN_SAMPLES = 1000
 
 
 class VerificationError(RuntimeError):
@@ -31,14 +34,14 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoveringCertificate:
-    """target_scale*target subset of union of (unit_scale*unit + v) over translations."""
+    """target_scale*target subset of union of (unit + v) over translations;
+    verified_samples 0 marks a closed-form (proven) cover."""
 
     target: ConvexBody
     unit: ConvexBody
     translations: tuple[tuple[float, ...], ...]
     kappa_ub: int
     target_scale: float = 1.0
-    unit_scale: float = 1.0
     verified_samples: int = 0
     worst_margin: float = float("nan")
 
@@ -51,7 +54,6 @@ class CoveringCertificate:
             "target": self.target.to_json(),
             "target_scale": self.target_scale,
             "unit": self.unit.to_json(),
-            "unit_scale": self.unit_scale,
             "translations": [list(v) for v in self.translations],
             "kappa_ub": self.kappa_ub,
             "verified_samples": self.verified_samples,
@@ -91,10 +93,15 @@ def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
     return np.concatenate(accepted)[:count]
 
 
+def check_samples(samples: int) -> None:
+    """Reject a verification sample count below MIN_SAMPLES."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"verification needs at least {MIN_SAMPLES} samples, got {samples}")
+
+
 def _sample_target(body: ConvexBody, scale: float, samples: int) -> np.ndarray:
     """The sample set a certificate of scale*body is checked on."""
-    if samples < 1000:
-        raise ValueError("verification needs at least 1000 samples")
+    check_samples(samples)
     interior = _interior_samples(body, scale, samples)
     boundary = _shape(body).boundary_points(scale, BOUNDARY_SAMPLES)
     return np.vstack([interior, boundary])
@@ -108,37 +115,24 @@ def difference_cover_ceiling(n: int) -> int:
     return 3 ** (n + 1) * 2 ** n
 
 
-def known_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> CoveringCertificate | None:
-    """Verified certificate that C-C is covered by the known translates of C:
-    2^n orthant translates for a box, 7 (hexagonal configuration) for the disk;
-    None for other bodies."""
+def known_certificate(body: ConvexBody) -> CoveringCertificate | None:
+    """Closed-form certificate that C-C is covered by the known translates of
+    C (2^n orthants for a box, 7 disks for the disk), or None for other
+    bodies.  No samples are drawn; both covers are tangent (worst margin 0)."""
     known = _shape(body).known_cover(body)
     if known is None:
         return None
     target, target_scale, translations = known
-    cert = CoveringCertificate(
+    return CoveringCertificate(
         target=target, unit=body, translations=translations, kappa_ub=len(translations),
-        target_scale=target_scale,
+        target_scale=target_scale, worst_margin=0.0,
     )
-    pts = _sample_target(target, target_scale, samples)
-    return _verified(cert, pts, f"known covering for {body.kind}")
-
-
-def _verified(cert: CoveringCertificate, pts: np.ndarray, what: str) -> CoveringCertificate:
-    """The certificate with its check on the target samples `pts` recorded;
-    raises on a gap."""
-    report = _cover_report(cert, pts)
-    if not report.ok:
-        raise VerificationError(f"{what} failed verification: {report.uncovered} uncovered")
-    return replace(cert, verified_samples=report.samples, worst_margin=report.worst_margin)
 
 
 def cover_by_translates(
     target: ConvexBody,
     unit: ConvexBody,
     lattice_step: float | None = None,
-    target_scale: float = 1.0,
-    unit_scale: float = 1.0,
     samples: int = DEFAULT_SAMPLES,
 ) -> CoveringCertificate:
     """Greedy lattice covering of the target by unit translates.
@@ -148,7 +142,7 @@ def cover_by_translates(
     are greedily pruned (farthest from the target centroid first, ties by
     index) whenever removal keeps every sample covered.
     """
-    ball_center, inradius = _shape(unit).chebyshev_ball(unit_scale)
+    ball_center, inradius = _shape(unit).chebyshev_ball(1.0)
     if lattice_step is None:
         lattice_step = inradius / 2.0
     if lattice_step <= 0:
@@ -157,8 +151,8 @@ def cover_by_translates(
     if dim != unit.dimension:
         raise GeometryError("target and unit dimensions differ")
 
-    pts = _sample_target(target, target_scale, samples)
-    lo, hi = _shape(target).box(target_scale)
+    pts = _sample_target(target, 1.0, samples)
+    lo, hi = _shape(target).box(1.0)
     # lattice positions are where the unit's inscribed-ball center lands, so
     # box units with step = side tile the target exactly (the 2^n case)
     axes = []
@@ -167,7 +161,7 @@ def cover_by_translates(
         axes.append(lo[d] + (np.arange(count) + 0.5) * lattice_step)
     grid = np.array(list(itertools.product(*axes))) - ball_center
 
-    margins = _shape(unit).point_margins(unit_scale, pts)
+    margins = _shape(unit).point_margins(1.0, pts)
     coverage = np.zeros((len(grid), len(pts)), dtype=bool)
     for k, v in enumerate(grid):
         coverage[k] = margins(v) >= -TOL
@@ -180,7 +174,7 @@ def cover_by_translates(
             f"(step {lattice_step:g})"
         )
 
-    center = _shape(target).centroid(target_scale)
+    center = _shape(target).centroid(1.0)
     order = sorted(
         range(len(grid)),
         key=lambda k: (-float(np.linalg.norm(grid[k] - center)), k),
@@ -194,10 +188,13 @@ def cover_by_translates(
     translations = tuple(tuple(float(c) for c in v) for v in grid[keep])
 
     cert = CoveringCertificate(
-        target=target, unit=unit, translations=translations,
-        kappa_ub=len(translations), target_scale=target_scale, unit_scale=unit_scale,
+        target=target, unit=unit, translations=translations, kappa_ub=len(translations),
     )
-    return _verified(cert, pts, "pruned covering")
+    report = _cover_report(cert, pts)
+    if not report.ok:
+        raise VerificationError(
+            f"pruned covering failed verification: {report.uncovered} uncovered")
+    return replace(cert, verified_samples=report.samples, worst_margin=report.worst_margin)
 
 
 def verify_certificate(cert: CoveringCertificate, samples: int = DEFAULT_SAMPLES) -> CoverReport:
@@ -209,7 +206,7 @@ def verify_certificate(cert: CoveringCertificate, samples: int = DEFAULT_SAMPLES
 
 def _cover_report(cert: CoveringCertificate, pts: np.ndarray) -> CoverReport:
     """Uncovered count and worst containment margin of the certificate on `pts`."""
-    margins = _shape(cert.unit).point_margins(cert.unit_scale, pts)
+    margins = _shape(cert.unit).point_margins(1.0, pts)
     best = np.full(len(pts), -np.inf)
     for v in cert.translations:
         best = np.maximum(best, margins(np.asarray(v)))

@@ -236,7 +236,8 @@ class _Shape:
         return f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" {style}/>'
 
     def known_cover(self, body: ConvexBody) -> tuple | None:
-        """(target, target_scale, translations) of a known cover of C - C by C, or None."""
+        """(target, target_scale, translations) of a cover of C - C by C that
+        is proven in closed form, or None."""
         return None
 
     def centroid(self, scale: float) -> np.ndarray:
@@ -521,6 +522,14 @@ class _Disk(_Shape):
         return scale * np.stack([np.cos(t), np.sin(t)], axis=1)
 
     def known_cover(self, body: ConvexBody) -> tuple | None:
+        """The unit disk centred at 0 and the six at sqrt(3)*(cos k*pi/3,
+        sin k*pi/3) cover C - C = 2C.  Proof, in polar coordinates (r, t) of a
+        point p of 2C: the centre disk holds r <= 1.  For 1 <= r <= 2, rotate p
+        by a multiple of pi/3, which permutes the six, until |t| <= pi/6.  Then
+        cos t >= sqrt(3)/2, so |p - (sqrt(3), 0)|^2 = r^2 - 2*sqrt(3)*r*cos t + 3
+        <= r^2 - 3r + 3, and r^2 - 3r + 3 <= 1 iff (r - 1)(r - 2) <= 0, which
+        holds.  The cover is tangent: the point at r = 2, t = pi/6 lies on the
+        boundary of both disks that hold it."""
         ring = [
             (math.sqrt(3.0) * math.cos(k * math.pi / 3), math.sqrt(3.0) * math.sin(k * math.pi / 3))
             for k in range(6)
@@ -602,6 +611,12 @@ class _Box(_Shape):
         return pts
 
     def known_cover(self, body: ConvexBody) -> tuple | None:
+        """The 2^n translates of C (sides s) by (+-s_1/2, ..., +-s_n/2) tile
+        C - C = 2C exactly.  Proof: on axis i, [-s_i, s_i] is the union of
+        [-s_i, 0] and [0, s_i], the extents of the translates by -s_i/2 and
+        +s_i/2, so the 2^n products of one half per axis are the translates
+        and their union is 2C.  The cover is tangent: a corner of 2C is a
+        corner of the one translate that holds it."""
         half = [s / 2.0 for s in self.sides]
         translations = tuple(
             tuple(sign * h for sign, h in zip(signs, half))

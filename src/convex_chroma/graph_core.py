@@ -133,7 +133,9 @@ def _bits(mask: int):
 
 
 def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResult:
-    """Exact maximum clique by Bron-Kerbosch with greedy pivoting."""
+    """Exact maximum clique by Bron-Kerbosch with greedy pivoting, run on an
+    explicit stack of open nodes (one per member of the growing clique), so
+    its depth is not bound by the recursion limit."""
     n = g.member_count
     if n > cap:
         greedy = _greedy_clique(g)
@@ -143,27 +145,32 @@ def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResul
         return SolveResult(value=0, witness=())
     rows = g.rows
     best: list[int] = []
-
-    def expand(r: list[int], p: int, x: int):
-        nonlocal best
+    r: list[int] = []
+    nodes: list[list[int]] = []   # [p, x, branches left]; node d's clique is r[:d]
+    p, x = (1 << n) - 1, 0
+    while True:
         if p == 0 and x == 0:
             if len(r) > len(best):
                 best = r[:]
-            return
-        if len(r) + p.bit_count() <= len(best):
-            return
-        pivot, pivot_deg = -1, -1
-        for u in _bits(p | x):
-            d = (p & rows[u]).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = u, d
-        for v in _bits(p & ~rows[pivot]):
-            expand(r + [v], p & rows[v], x & rows[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand([], (1 << n) - 1, 0)
-    return SolveResult(value=len(best), witness=tuple(sorted(best)))
+        elif len(r) + p.bit_count() > len(best):
+            pivot, pivot_deg = -1, -1
+            for u in _bits(p | x):
+                d = (p & rows[u]).bit_count()
+                if d > pivot_deg:
+                    pivot, pivot_deg = u, d
+            nodes.append([p, x, p & ~rows[pivot]])
+        while nodes and not nodes[-1][2]:
+            nodes.pop()
+        if not nodes:
+            return SolveResult(value=len(best), witness=tuple(sorted(best)))
+        node = nodes[-1]
+        p, x, branches = node
+        low = branches & -branches
+        node[0], node[1], node[2] = p & ~low, x | low, branches ^ low
+        del r[len(nodes) - 1:]
+        v = low.bit_length() - 1
+        r.append(v)
+        p, x = p & rows[v], x & rows[v]
 
 
 def _greedy_clique(g: IntersectionGraph) -> list[int]:

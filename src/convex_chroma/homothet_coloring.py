@@ -25,16 +25,10 @@ from .graph_core import ConsistencyError, IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
 
-@dataclass(frozen=True)
-class SizeOrder:
+def size_order(family: Family) -> tuple[int, ...]:
     """Member indices sorted by scale ascending, ties by index."""
-
-    order: tuple[int, ...]
-
-
-def size_order(family: Family) -> SizeOrder:
     scales = family.scales()
-    return SizeOrder(order=tuple(sorted(range(len(family)), key=lambda i: (scales[i], i))))
+    return tuple(sorted(range(len(family)), key=lambda i: (scales[i], i)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def color_homothets(
     back degree is reported alongside the colors.
     """
     g = graph if graph is not None else build_graph(family)
-    order = list(reversed(size_order(family).order))
+    order = list(reversed(size_order(family)))
     colors = [-1] * len(family)
     back_degree_max = 0
     for v in order:
@@ -237,10 +231,11 @@ def clique_partition_homothets(
 
 
 def symmetrized_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> CoveringCertificate:
-    """Certificate for kappa(2K, K) with K the central symmetrization of C;
-    `samples` is the interior sample count of its verification."""
+    """Certificate for kappa(2K, K) with K the central symmetrization of C:
+    the closed-form cover when K is a box or the disk, else a lattice cover
+    whose verification draws `samples` interior points."""
     k_body = symmetrize(body)
-    cert = known_certificate(k_body, samples=samples)
+    cert = known_certificate(k_body)
     if cert is None:
         cert = cover_by_translates(scale_body(k_body, 2.0), k_body, samples=samples)
     return cert

@@ -7,9 +7,9 @@ import pytest
 
 from convex_chroma import cli, geometry, graph_core, translate_coloring
 from convex_chroma.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
-from convex_chroma.constructions import random_family
-from convex_chroma.families import load_family, save_family
-from convex_chroma.geometry import ConvexBody
+from convex_chroma.constructions import pentagon_family, random_family
+from convex_chroma.families import Family, load_family, save_family
+from convex_chroma.geometry import ConvexBody, Placement
 from convex_chroma.graph_core import build_graph, from_dimacs
 
 
@@ -186,6 +186,44 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+
+    def test_searches_deeper_than_the_recursion_limit_end_in_an_exit_code(self, tmp_path):
+        # pentagon k=3 plus 1,050 isolated squares: nu = 1,052, and the
+        # colorings of the graph and its complement stack ~1,000 frames
+        fam = pentagon_family(3)
+        extra = tuple(Placement((10.0 + 3 * (i % 35), 10.0 + 3 * (i // 35)), 1.0)
+                      for i in range(1050))
+        path = tmp_path / "big.json"
+        save_family(Family(body=fam.body, placements=fam.placements + extra), path)
+        out = tmp_path / "r.json"
+        assert run(["verify", "--in", str(path), "--caps", "omega=2000,chi=2000",
+                    "--out", str(out)]) == EXIT_OK
+        oracles = json.loads(out.read_text())["oracles"]
+        assert (oracles["omega"], oracles["nu"], oracles["chi"], oracles["theta"]) == \
+            (6, 1052, 8, 1053)
+
+
+class TestSamples:
+    """--samples is checked once, before anything is built, whether or not the
+    command draws samples (translates and closed-form covers draw none)."""
+
+    @pytest.mark.parametrize("command", [
+        ["color", "--method", "translates"], ["color", "--method", "homothets"],
+        ["color", "--method", "symmetrized"], ["partition", "--method", "translates"],
+        ["partition", "--method", "homothets"], ["verify"],
+    ])
+    @pytest.mark.parametrize("samples", ["5", "999"])
+    def test_too_few_exit_4_with_one_line(self, pentagon2, tmp_path, capsys, command, samples):
+        out = tmp_path / "rep.json"
+        assert run([*command, "--in", str(pentagon2), "--samples", samples,
+                    "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "at least 1000" in err[0]
+        assert not out.exists()
+
+    def test_the_minimum_is_accepted(self, pentagon2, tmp_path):
+        assert run(["color", "--in", str(pentagon2), "--method", "homothets",
+                    "--samples", "1000", "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
 
 class TestMalformedInput:

@@ -5,8 +5,6 @@ import pytest
 
 from convex_chroma.constructions import (
     ConstructionError,
-    GridSpec,
-    PentagonSpec,
     density,
     explicit_pentagon_coloring,
     grid_family,
@@ -66,10 +64,6 @@ class TestGridFamily:
         with pytest.raises(ValueError):
             grid_family(unit_square, 10, member_cap=1000)
 
-    def test_spec_wrapper(self, unit_square):
-        fam = GridSpec(body=unit_square, m=2).build()
-        assert len(fam) == 16
-
 
 class TestPentagonFamilies:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -109,9 +103,6 @@ class TestPentagonFamilies:
     def test_jitter_keeps_members_distinct(self):
         fam = pentagon_family(3)
         assert len({p.center for p in fam.placements}) == 15
-
-    def test_spec_wrapper(self):
-        assert len(PentagonSpec(k=2).build()) == 10
 
 
 class TestExplicitColoring:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestKnownKappa:
 
     @staticmethod
     def known(body):
-        cert = known_certificate(body, samples=1000)
+        cert = known_certificate(body)
         return None if cert is None else (cert.kappa_ub, cert.translations)
 
     def test_square(self, unit_square):
@@ -55,7 +56,35 @@ class TestKnownKappa:
         assert self.known(triangle) is None
 
 
+KNOWN_BODIES = {
+    "square": ConvexBody.unit_square(),
+    "cube": ConvexBody.box((1, 1, 1)),
+    "disk": ConvexBody.disk(),
+}
+
+
 class TestKnownCertificates:
+    """The box and disk covers are proven in closed form; these re-checks at
+    100k samples are the reference the proofs are held to."""
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_BODIES))
+    def test_built_without_samples(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("a closed-form certificate drew samples")
+
+        monkeypatch.setattr(covering, "_sample_target", refuse)
+        cert = known_certificate(KNOWN_BODIES[name])
+        assert cert.verified_samples == 0
+        assert cert.worst_margin == 0.0
+
+    @pytest.mark.parametrize("name", ["square", "disk"])
+    def test_every_translate_is_needed(self, name):
+        cert = known_certificate(KNOWN_BODIES[name])
+        for k in range(cert.kappa_ub):
+            rest = cert.translations[:k] + cert.translations[k + 1:]
+            broken = replace(cert, translations=rest, kappa_ub=len(rest))
+            assert verify_certificate(broken, samples=100_000).uncovered > 0, k
+
     def test_square_certificate_verifies(self, unit_square):
         cert = known_certificate(unit_square)
         assert cert.kappa_ub == 4
@@ -118,7 +147,7 @@ class TestVerifyCertificate:
         cert = cover_by_translates(ConvexBody.box((2, 2)), unit_square, lattice_step=1.0)
         broken = CoveringCertificate(
             target=cert.target, unit=cert.unit, translations=cert.translations[:3],
-            kappa_ub=3, target_scale=cert.target_scale, unit_scale=cert.unit_scale,
+            kappa_ub=3, target_scale=cert.target_scale,
         )
         assert verify_certificate(broken, samples=20_000).uncovered > 0
 
@@ -142,7 +171,10 @@ class TestCertificateJson:
         assert len(obj["translations"]) == 7
         assert obj["unit"]["kind"] == "disk"
         assert obj["target_scale"] == 2.0
-        assert obj["verified_samples"] >= 100_000
+        assert "unit_scale" not in obj
+        # a closed-form cover: no samples drawn, tangent
+        assert obj["verified_samples"] == 0
+        assert obj["worst_margin"] == 0.0
 
 
 class TestCeilingReference:
@@ -249,15 +281,15 @@ def test_a_build_draws_its_samples_once(monkeypatch, triangle, unit_square):
     assert draws == [(target, 1.0, 5_000)]
     assert cert.verified_samples == 5_000 + covering.BOUNDARY_SAMPLES
     draws.clear()
-    cert = known_certificate(unit_square, samples=5_000)
-    assert draws == [(cert.target, cert.target_scale, 5_000)]
-    draws.clear()
+    cert = known_certificate(unit_square)
+    assert draws == [] and cert.verified_samples == 0
     verify_certificate(cert, samples=5_000)
-    assert len(draws) == 1
+    assert draws == [(cert.target, cert.target_scale, 5_000)]
 
 
 def test_too_few_samples_rejected_before_a_build(triangle, unit_square):
     with pytest.raises(ValueError, match="at least 1000"):
         cover_by_translates(minkowski_sum(triangle, reflect(triangle)), triangle, samples=999)
+    # a closed-form cover takes no sample count; re-checking it still needs 1000
     with pytest.raises(ValueError, match="at least 1000"):
-        known_certificate(unit_square, samples=999)
+        verify_certificate(known_certificate(unit_square), samples=999)

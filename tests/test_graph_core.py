@@ -310,7 +310,39 @@ class TestDsatur:
                 assert witness == reference_chromatic_witness(graph, cap=45)
 
 
+def reference_max_clique(g: IntersectionGraph) -> tuple[int, tuple[int, ...]]:
+    """The recursive Bron-Kerbosch with greedy pivoting that `max_clique`
+    runs on an explicit stack: same pivots, same branch order."""
+    rows = g.rows
+    best: list[int] = []
+
+    def expand(r: list[int], p: int, x: int):
+        nonlocal best
+        if p == 0 and x == 0:
+            if len(r) > len(best):
+                best = r[:]
+            return
+        if len(r) + bin(p).count("1") <= len(best):
+            return
+        pivot = max(_bit_walk(p | x), key=lambda u: (bin(p & rows[u]).count("1"), -u))
+        for v in list(_bit_walk(p & ~rows[pivot])):
+            expand(r + [v], p & rows[v], x & rows[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand([], (1 << g.member_count) - 1, 0)
+    return len(best), tuple(sorted(best))
+
+
 class TestMaxClique:
+    @pytest.mark.parametrize("n", [0, 1, 9, 30, 50])
+    def test_value_and_witness_match_the_recursive_reference(self, n):
+        for seed, p in ((n, 0.2), (n + 1, 0.5), (n + 2, 0.8)):
+            g = IntersectionGraph.from_matrix(random_graph(seed, n, p=p))
+            for graph in (g, g.complement()):
+                res = max_clique(graph)
+                assert (res.value, res.witness) == reference_max_clique(graph)
+
     def test_c5(self):
         assert max_clique(c5_graph()).value == 2
 
@@ -350,6 +382,17 @@ class TestMaxIndependentSet:
     def test_pentagon_disjoint(self):
         g = build_graph(pentagon_disjoint_family(2))
         assert max_independent_set(g).value == 4
+
+    def test_search_depth_is_not_bound_by_the_recursion_limit(self):
+        # pentagon k=3 plus 1,050 isolated members: the independent set grows
+        # one search level per member, 1,052 in all, past the default
+        # recursion limit of 1,000
+        adj = np.zeros((1065, 1065), dtype=bool)
+        adj[:15, :15] = build_graph(pentagon_family(3)).matrix
+        g = IntersectionGraph.from_matrix(adj)
+        res = max_independent_set(g, cap=2000)
+        assert res.value == 1052 and not res.capped
+        assert not adj[np.ix_(res.witness, res.witness)].any()
 
 
 class TestChromaticNumber:

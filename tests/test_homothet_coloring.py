@@ -55,7 +55,7 @@ class TestSizeOrder:
         fam = Family(body=unit_square, placements=(
             Placement((0, 0), 2.0), Placement((1, 0), 1.0), Placement((2, 0), 1.0),
         ))
-        assert size_order(fam).order == (1, 2, 0)
+        assert size_order(fam) == (1, 2, 0)
 
 
 class TestColorHomothets:
@@ -123,7 +123,7 @@ class TestPiercing:
     def test_classes_are_cliques(self, disk, disk_cert):
         fam = random_family(disk, 15, (0, 4), scale_range=(1, 2), seed=31)
         g = build_graph(fam)
-        smallest = size_order(fam).order[0]
+        smallest = size_order(fam)[0]
         sub = [i for i in range(15) if i == smallest or g.adjacent(smallest, i)]
         piercing = pierce_intersecting_smallest(fam, sub, disk_cert)
         for cls in piercing.classes():
@@ -134,7 +134,7 @@ class TestPiercing:
     def test_theta_at_most_points_used(self, unit_square, square_cert):
         fam = random_family(unit_square, 12, (0, 3), scale_range=(1, 2), seed=8)
         g = build_graph(fam)
-        smallest = size_order(fam).order[0]
+        smallest = size_order(fam)[0]
         sub = [i for i in range(12) if i == smallest or g.adjacent(smallest, i)]
         piercing = pierce_intersecting_smallest(fam, sub, square_cert)
         theta_sub = clique_cover_number(g.subgraph(sub)).value
@@ -159,7 +159,7 @@ class TestPiercingFallback:
         fam = random_family(body, 20, (0, 5), scale_range=(0.5, 2), seed=9)
         g = build_graph(fam)
         cert = far_certificate(body)
-        smallest = size_order(fam).order[0]
+        smallest = size_order(fam)[0]
         sub = [i for i in range(20) if i == smallest or g.adjacent(smallest, i)]
         piercing = pierce_intersecting_smallest(fam, sub, cert)
         assert piercing.fallback_used and 0 not in piercing.assignment
