@@ -22,8 +22,8 @@ from .constructions import (
 )
 from .families import Family, family_digest, load_family, save_family, translates
 from .geometry import (
+    ConsistencyError,
     ConvexBody,
-    FitSearchError,
     GeometryError,
     ParallelogramFit,
     Placement,

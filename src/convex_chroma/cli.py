@@ -2,7 +2,8 @@
 every inequality the bounds promise, and export DIMACS/SVG/CSV.
 
 Exit codes: 0 all checks pass, 2 a bound or properness check failed, 3 a
-solver cap was exceeded (partial report), 4 invalid input.
+solver cap was exceeded (partial report), 4 invalid input or usage, 5 an
+internal fault; `main` alone maps exception types to them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constructions import (
-    ConstructionError,
-    grid_family,
-    pentagon_disjoint_family,
-    pentagon_family,
-    random_family,
-)
+from .constructions import grid_family, pentagon_disjoint_family, pentagon_family, random_family
 from .covering import (
     CoveringCertificate,
     check_samples,
@@ -58,6 +53,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_CAPPED = 3
 EXIT_INPUT = 4
+EXIT_FAULT = 5
 
 CAPS_ENV = "CONVEX_CHROMA_CAPS"
 
@@ -119,22 +115,19 @@ def _exact(res: SolveResult) -> int | None:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed
     if args.construction == "pentagon":
         family = pentagon_family(args.k)
     elif args.construction == "pentagon-disjoint":
         family = pentagon_disjoint_family(args.k)
     elif args.construction == "grid":
         family = grid_family(_named_body(args.body, args.sides), args.m)
-    elif args.construction == "random":
+    else:
         lo, hi = (float(v) for v in args.window.split(","))
         slo, shi = (float(v) for v in args.scales.split(","))
         family = random_family(
             _named_body(args.body, args.sides), args.count, (lo, hi),
-            scale_range=(slo, shi), seed=seed,
+            scale_range=(slo, shi), seed=args.seed,
         )
-    else:
-        raise ValueError(f"unknown construction {args.construction!r}")
     _emit(dumps_family(family), args.out)
     print(f"generated {len(family)} members ({args.construction})", file=sys.stderr)
     return EXIT_OK
@@ -404,7 +397,7 @@ def cmd_export(args) -> int:
         text = to_dimacs(build_graph(family))
     elif args.format == "csv":
         text = family_csv(family, _resolve_caps(args.caps))
-    elif args.format == "svg":
+    else:
         colors = None
         if args.coloring:
             with open(args.coloring) as fh:
@@ -412,8 +405,6 @@ def cmd_export(args) -> int:
             if len(colors) != len(family):
                 raise ValueError("coloring length does not match the family")
         text = family_svg(family, colors)
-    else:
-        raise ValueError(f"unknown format {args.format!r}")
     _emit(text, args.out)
     return EXIT_OK
 
@@ -469,13 +460,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConstructionError, ValueError, OSError) as exc:
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"error: internal fault ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -16,16 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, translates
-from .geometry import ConvexBody, Placement, _shape, homothet_margins, pairwise_adjacency
+from .geometry import ConvexBody, GeometryError, Placement, _shape, homothet_margins, pairwise_adjacency
 from .graph_core import SolverCaps, build_graph, clique_cover_number, max_clique
 
 GRID_MEMBER_CAP = 4096
+PENTAGON_JITTER = 1e-4
 RANDOM_MARGIN = 0.05
 RANDOM_RESAMPLE_BUDGET = 1000
-
-
-class ConstructionError(RuntimeError):
-    """A generated family failed its build-time structure check."""
 
 
 def grid_family(body: ConvexBody, m: int, member_cap: int = GRID_MEMBER_CAP) -> Family:
@@ -56,19 +53,19 @@ def _check_blowup_adjacency(family: Family, group_count: int, group_size: int,
         sa = slice(ga * group_size, (ga + 1) * group_size)
         block = adj[sa, sa]
         if not (block | np.eye(group_size, dtype=bool)).all():
-            raise ConstructionError(f"group {ga} is not internally complete")
+            raise GeometryError(f"group {ga} is not internally complete")
         for gb in range(ga + 1, group_count):
             sb = slice(gb * group_size, (gb + 1) * group_size)
             expected = cycle and (gb - ga == 1 or (ga == 0 and gb == group_count - 1))
             if expected and not adj[sa, sb].all():
-                raise ConstructionError(f"groups {ga},{gb} must be fully adjacent")
+                raise GeometryError(f"groups {ga},{gb} must be fully adjacent")
             if not expected and adj[sa, sb].any():
-                raise ConstructionError(f"groups {ga},{gb} must be fully non-adjacent")
+                raise GeometryError(f"groups {ga},{gb} must be fully non-adjacent")
 
 
-def pentagon_family(k: int, jitter: float = 1e-4, circumradius: float = 0.8) -> Family:
-    """5 groups of k near-duplicate unit squares on a 5-cycle; the intersection
-    graph is verified to equal the blow-up C5[K_k]."""
+def pentagon_family(k: int, circumradius: float = 0.8) -> Family:
+    """5 groups of k near-duplicate unit squares (PENTAGON_JITTER apart) on a
+    5-cycle; the intersection graph is verified to equal the blow-up C5[K_k]."""
     if k < 1:
         raise ValueError("k must be >= 1")
     base = _pentagon_centers(circumradius)
@@ -76,7 +73,7 @@ def pentagon_family(k: int, jitter: float = 1e-4, circumradius: float = 0.8) -> 
     for g in range(5):
         for j in range(k):
             frac = j / max(k - 1, 1)
-            centers.append(base[g] + jitter * frac)
+            centers.append(base[g] + PENTAGON_JITTER * frac)
     family = translates(ConvexBody.unit_square(), np.array(centers),
                         meta={"construction": "pentagon", "k": k})
     _check_blowup_adjacency(family, 5, k, cycle=True)
@@ -98,7 +95,7 @@ def pentagon_disjoint_family(k: int, circumradius: float = 0.8, spacing: float =
     adj = pairwise_adjacency(family.body, family.centers(), family.scales())
     copy = np.repeat(np.arange(k), 5)
     if (adj & (copy[:, None] != copy[None, :])).any():
-        raise ConstructionError("pentagon copies must be pairwise disjoint")
+        raise GeometryError("pentagon copies must be pairwise disjoint")
     return family
 
 
@@ -219,7 +216,7 @@ def random_family(
                 centers[k], scales[k] = cand.center, cand.scale
                 break
         else:
-            raise ConstructionError(
+            raise GeometryError(
                 f"could not place member {len(placements)} with margin {margin} "
                 f"after {RANDOM_RESAMPLE_BUDGET} draws"
             )

@@ -21,15 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TOL, ConvexBody, GeometryError, _shape, halton
+from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, halton
 
 BOUNDARY_SAMPLES = 1000
 DEFAULT_SAMPLES = 100_000
 MIN_SAMPLES = 1000
-
-
-class VerificationError(RuntimeError):
-    """A constructed covering failed its own sample verification."""
+# lattice points x sample points of a lattice cover's boolean coverage matrix
+MAX_COVERAGE_ENTRIES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _interior_samples(body: ConvexBody, scale: float, count: int) -> np.ndarray:
         have += len(take)
         start += chunk
         if start > 200 * count + 10_000:
-            raise VerificationError("interior sampling failed to fill the quota")
+            raise GeometryError("interior sampling failed to fill the quota")
     return np.concatenate(accepted)[:count]
 
 
@@ -140,7 +138,8 @@ def cover_by_translates(
     Unit copies are laid out on a square lattice over the target's bounding
     box; translates covering no verification sample are dropped, and the rest
     are greedily pruned (farthest from the target centroid first, ties by
-    index) whenever removal keeps every sample covered.
+    index) whenever removal keeps every sample covered.  Lattice points x
+    sample points above MAX_COVERAGE_ENTRIES raise GeometryError up front.
     """
     ball_center, inradius = _shape(unit).chebyshev_ball(1.0)
     if lattice_step is None:
@@ -151,14 +150,17 @@ def cover_by_translates(
     if dim != unit.dimension:
         raise GeometryError("target and unit dimensions differ")
 
-    pts = _sample_target(target, 1.0, samples)
     lo, hi = _shape(target).box(1.0)
+    axis_counts = [max(1, math.ceil((hi[d] - lo[d]) / lattice_step - 1e-9)) for d in range(dim)]
+    lattice_points, sample_points = math.prod(axis_counts), samples + BOUNDARY_SAMPLES
+    if lattice_points * sample_points > MAX_COVERAGE_ENTRIES:
+        raise GeometryError(
+            f"lattice cover too large: {lattice_points} lattice points x {sample_points} "
+            f"sample points exceed {MAX_COVERAGE_ENTRIES} coverage entries")
+    pts = _sample_target(target, 1.0, samples)
     # lattice positions are where the unit's inscribed-ball center lands, so
     # box units with step = side tile the target exactly (the 2^n case)
-    axes = []
-    for d in range(dim):
-        count = max(1, math.ceil((hi[d] - lo[d]) / lattice_step - 1e-9))
-        axes.append(lo[d] + (np.arange(count) + 0.5) * lattice_step)
+    axes = [lo[d] + (np.arange(count) + 0.5) * lattice_step for d, count in enumerate(axis_counts)]
     grid = np.array(list(itertools.product(*axes))) - ball_center
 
     margins = _shape(unit).point_margins(1.0, pts)
@@ -169,7 +171,7 @@ def cover_by_translates(
     grid, coverage = grid[useful], coverage[useful]
     counts = coverage.sum(axis=0)
     if (counts == 0).any():
-        raise VerificationError(
+        raise ConsistencyError(
             f"lattice covering failed: {(counts == 0).sum()} samples uncovered "
             f"(step {lattice_step:g})"
         )
@@ -192,7 +194,7 @@ def cover_by_translates(
     )
     report = _cover_report(cert, pts)
     if not report.ok:
-        raise VerificationError(
+        raise ConsistencyError(
             f"pruned covering failed verification: {report.uncovered} uncovered")
     return replace(cert, verified_samples=report.samples, worst_margin=report.worst_margin)
 

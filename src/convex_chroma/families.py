@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,13 +41,20 @@ class Family:
         scales = {p.scale for p in self.placements}
         return len(scales) <= 1
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers (one row per member) and scales, built once, read-only."""
+        centers = np.array([p.center for p in self.placements], float).reshape(-1, self.body.dimension)
+        scales = np.array([p.scale for p in self.placements], float)
+        centers.setflags(write=False)
+        scales.setflags(write=False)
+        return centers, scales
+
     def centers(self) -> np.ndarray:
-        if not self.placements:
-            return np.zeros((0, self.body.dimension))
-        return np.array([p.center for p in self.placements], dtype=float)
+        return self._arrays[0]
 
     def scales(self) -> np.ndarray:
-        return np.array([p.scale for p in self.placements], dtype=float)
+        return self._arrays[1]
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +76,7 @@ class Family:
                 for p in obj["placements"]
             )
             meta = dict(obj.get("meta", {}))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise GeometryError(f"malformed family JSON ({type(exc).__name__}: {exc})") from None
         return Family(body=body, placements=placements, meta=meta)
 

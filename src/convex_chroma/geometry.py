@@ -35,11 +35,12 @@ _HALTON_TABLE = 1024  # most entries of halton's per-base table of low digits
 
 
 class GeometryError(ValueError):
-    """Invalid geometric input (degenerate polygon, dimension mismatch...)."""
+    """Input the program rejects (degenerate polygon, dimension mismatch...)."""
 
 
-class FitSearchError(RuntimeError):
-    """Inscribed-parallelogram search failed to reach the required ratio."""
+class ConsistencyError(RuntimeError):
+    """A computed result broke a condition that holds by construction: a
+    program fault, never invalid input."""
 
 
 @dataclass(frozen=True)
@@ -340,11 +341,11 @@ class _Polygon(_Shape):
                 best = fit
         if best is None or best.ratio > 2.0 + 1e-6:
             got = "none" if best is None else f"{best.ratio:.9f}"
-            raise FitSearchError(f"no inscribed parallelogram with ratio <= 2 found (best {got})")
+            raise ConsistencyError(f"no inscribed parallelogram with ratio <= 2 found (best {got})")
         c, u, v = (np.asarray(p) for p in (best.center, best.u, best.v))
         corners = np.array([c + a * u + b * v for a in (-1, 1) for b in (-1, 1)])
         if not points_in_polygon(self.verts, corners, tol=1e-6).all():
-            raise FitSearchError("inscribed parallelogram verification failed")
+            raise ConsistencyError("inscribed parallelogram verification failed")
         return best
 
     def _direction_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -803,6 +804,6 @@ def inscribed_parallelogram(body: ConvexBody) -> ParallelogramFit:
 
     Boxes are their own fit (ratio 1); the disk gets the inscribed square with
     vertices (+-1,0),(0,+-1) (ratio sqrt(2)); polygons run the direction-pair
-    search.  Failing to reach ratio 2 + 1e-6 raises FitSearchError.
+    search, which always reaches 2 + 1e-6 (else ConsistencyError: a fault).
     """
     return _shape(body).parallelogram_fit()

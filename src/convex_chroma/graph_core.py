@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .families import Family
-from .geometry import pairwise_adjacency
+from .geometry import ConsistencyError, pairwise_adjacency
 
 DEFAULT_OMEGA_CAP = 100
 DEFAULT_CHI_CAP = 45
@@ -30,11 +30,6 @@ DEFAULT_CHI_CAP = 45
 
 class CapExceeded(RuntimeError):
     """Raised only when a caller insists on an exact value above the cap."""
-
-
-class ConsistencyError(RuntimeError):
-    """A computed result broke a condition that holds by construction: a
-    program fault, never invalid input."""
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
 from .families import Family
-from .geometry import TOL, ConvexBody, GeometryError, _shape, scale_body, symmetrize
-from .graph_core import ConsistencyError, IntersectionGraph, build_graph
+from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, scale_body, symmetrize
+from .graph_core import IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
 
@@ -179,7 +179,7 @@ def clique_partition_homothets(
     """
     g = graph if graph is not None else build_graph(family)
     n = len(family)
-    scales = family.scales()
+    order = iter(size_order(family))
     remaining = set(range(n))
     assign = [0] * n
     piercing_points: list[tuple[float, ...]] = []
@@ -189,7 +189,7 @@ def clique_partition_homothets(
     last_round_classes = 0
     next_class = 0
     while remaining:
-        rep = min(remaining, key=lambda i: (scales[i], i))
+        rep = next(i for i in order if i in remaining)
         sub = sorted(remaining.intersection(np.flatnonzero(g.matrix[rep]).tolist()) | {rep})
         piercing = pierce_intersecting_smallest(family, sub, cert)
         fallback_any = fallback_any or piercing.fallback_used

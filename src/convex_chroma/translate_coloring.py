@@ -23,20 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .geometry import GeometryError, _shape
-from .graph_core import ConsistencyError, IntersectionGraph, build_graph
+from .geometry import ConsistencyError, GeometryError, _shape
+from .graph_core import IntersectionGraph, build_graph
 from .reports import ClassSummary, ColoringReport, PartitionReport
 
 OFFSET_CLEARANCE = 1e-6
 MAX_OFFSET_DRAWS = 100
-
-
-class OffsetSearchError(RuntimeError):
-    """No generic offset with the required tangency clearance was found."""
-
-
-class PosetError(RuntimeError):
-    """The class relation is not a strict partial order (bad fit)."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +116,10 @@ class PosetClass:
     def __post_init__(self):
         rel = self.relation
         if (rel & rel.T).any():
-            raise PosetError("precedence relation is not asymmetric")
-        composed = (rel.astype(int) @ rel.astype(int)) > 0
+            raise ConsistencyError("precedence relation is not asymmetric")
+        composed = (rel.astype(np.float32) @ rel.astype(np.float32)) > 0  # BLAS; 0/1 sums stay exact
         if (composed & ~rel).any():
-            raise PosetError(
+            raise ConsistencyError(
                 "precedence relation is not transitive; the parallelogram fit "
                 "does not dominate the body"
             )
@@ -150,7 +142,8 @@ def normalize(family: Family) -> NormalizedFamily:
 
 def choose_offsets(nf: NormalizedFamily, seed: int = 0) -> Offsets:
     """Seeded generic offsets: every reference coordinate stays at least
-    OFFSET_CLEARANCE away from a line tangency or a cell boundary."""
+    OFFSET_CLEARANCE away from a line tangency or a cell boundary, else
+    GeometryError (references too dense or beyond float resolution)."""
     n = nf.params.n
     rng = np.random.default_rng(seed)
     refs = nf.refs
@@ -166,7 +159,7 @@ def choose_offsets(nf: NormalizedFamily, seed: int = 0) -> Offsets:
         if clearance >= OFFSET_CLEARANCE:
             return Offsets(b=tuple(float(x) for x in b), cell_offset=cell,
                            clearance=clearance, seed=seed, attempts=attempt)
-    raise OffsetSearchError(
+    raise GeometryError(
         f"no offset with clearance >= {OFFSET_CLEARANCE:g} in {MAX_OFFSET_DRAWS} draws"
     )
 
@@ -183,9 +176,10 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
                              offsets=offsets, params=params)
     b = np.asarray(offsets.b)
     cross = refs[:, : n - 1] - b
-    line_keys = np.floor(cross + 0.5).astype(int)
+    with np.errstate(invalid="ignore"):  # a key that overflows the cast fails the check
+        line_keys = np.floor(cross + 0.5).astype(int)
     if not (np.abs(cross - line_keys) < 0.5).all():
-        raise OffsetSearchError("a reference point is tangent to a lattice line")
+        raise GeometryError("a reference point is tangent to a lattice line")
     cells = np.floor(refs[:, n - 1] - offsets.cell_offset + 0.5).astype(int)
     return Decomposition(
         line_keys=line_keys,
@@ -205,9 +199,15 @@ def build_poset(members: list[int], nf: NormalizedFamily,
     disjoint = ~graph.matrix[np.ix_(members, members)]
     np.fill_diagonal(disjoint, False)
     if (disjoint & (last[:, None] == last[None, :])).any():
-        raise PosetError("disjoint class members share a last coordinate")
+        raise ConsistencyError("disjoint class members share a last coordinate")
     relation = disjoint & (last[:, None] < last[None, :])
     return PosetClass(members=tuple(members), relation=relation, last_coords=last)
+
+
+def _successors(relation: np.ndarray) -> list[list[int]]:
+    """Each row's True columns in ascending order, read from one np.nonzero."""
+    cols = np.nonzero(relation)[1]
+    return [c.tolist() for c in np.split(cols, np.cumsum(relation.sum(axis=1)))[:-1]]
 
 
 def chain_partition(poset: PosetClass) -> list[list[int]]:
@@ -218,13 +218,13 @@ def chain_partition(poset: PosetClass) -> list[list[int]]:
     intersection graph.  Chains are reported in member-index terms.
     """
     m = len(poset.members)
-    rel = poset.relation
+    succ = _successors(poset.relation)
     match_left = [-1] * m   # successor chosen for each node
     match_right = [-1] * m  # predecessor that claimed each node
 
     def augment(u: int, visited: list[bool]) -> bool:
-        for v in range(m):
-            if rel[u, v] and not visited[v]:
+        for v in succ[u]:
+            if not visited[v]:
                 visited[v] = True
                 if match_right[v] == -1 or augment(match_right[v], visited):
                     match_right[v] = u
@@ -250,11 +250,11 @@ def antichain_partition(poset: PosetClass) -> list[list[int]]:
     """Mirsky height layering: as many antichains as the longest chain, and
     each antichain is a clique in the intersection graph."""
     m = len(poset.members)
+    preds = _successors(poset.relation.T)
     order = sorted(range(m), key=lambda i: (poset.last_coords[i], i))
     level = [0] * m
     for i in order:
-        preds = [level[j] for j in range(m) if poset.relation[j, i]]
-        level[i] = 1 + max(preds) if preds else 0
+        level[i] = 1 + max(level[j] for j in preds[i]) if preds[i] else 0
     height = max(level) + 1 if m else 0
     layers: list[list[int]] = [[] for _ in range(height)]
     for i in range(m):

@@ -1,15 +1,26 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convex_chroma import cli, geometry, graph_core, translate_coloring
-from convex_chroma.cli import EXIT_CAPPED, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from convex_chroma.cli import EXIT_CAPPED, EXIT_FAULT, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from convex_chroma.constructions import pentagon_family, random_family
 from convex_chroma.families import Family, load_family, save_family
-from convex_chroma.geometry import ConvexBody, Placement
+from convex_chroma.geometry import ConsistencyError, ConvexBody, Placement
 from convex_chroma.graph_core import build_graph, from_dimacs
 
 
@@ -241,6 +252,165 @@ class TestMalformedInput:
         assert run(["verify", "--in", str(fam), "--out", str(tmp_path / "r.json")]) == EXIT_INPUT
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _raise(exc: Exception):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+class TestExitCodes:
+    """Every failure kind ends in its documented exit code with exactly one
+    `error:` line on stderr, never a traceback."""
+
+    @pytest.fixture
+    def far(self, tmp_path):
+        # centers at 1e300: beyond the float resolution of the lattice offsets
+        path = tmp_path / "far.json"
+        save_family(Family(body=ConvexBody.unit_square(), placements=(
+            Placement((1e300, 1e300)), Placement((1e300, -1e300)))), path)
+        return path
+
+    @pytest.mark.parametrize("args,inject,code,message", [
+        (["color", "--in", "{p2}", "--method", "bogus"], None, EXIT_INPUT, "invalid choice"),
+        (["color", "--in", "{p2}", "--samples", "abc"], None, EXIT_INPUT, "invalid int"),
+        (["verify"], None, EXIT_INPUT, "required: --in"),
+        (["color", "--in", "{far}", "--method", "translates"], None, EXIT_INPUT,
+         "tangent to a lattice line"),
+        (["verify", "--in", "{far}"], None, EXIT_INPUT, "tangent to a lattice line"),
+        (["color", "--in", "{p2}"], ConsistencyError("injected"), EXIT_FAULT,
+         "error: internal fault (ConsistencyError): injected"),
+        (["color", "--in", "{p2}"], RecursionError("maximum recursion depth exceeded"),
+         EXIT_FAULT, "error: internal fault (RecursionError): maximum recursion depth exceeded"),
+    ], ids=["bad-choice", "bad-int", "missing-in", "far-color", "far-verify",
+            "consistency-fault", "recursion-fault"])
+    def test_failure_ends_in_its_code_with_one_error_line(
+            self, pentagon2, far, tmp_path, capsys, monkeypatch, args, inject, code, message):
+        if inject is not None:
+            monkeypatch.setattr(cli, "translate_pipeline", _raise(inject))
+        out = tmp_path / "rep.json"
+        argv = [a.format(p2=pentagon2, far=far) for a in args] + ["--out", str(out)]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if "error: " in line]
+        assert len(lines) == 1 and message in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["color", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        assert run(args) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ") and captured.err == ""
+
+    def test_thin_triangle_is_rejected_before_it_exhausts_memory(self, tmp_path):
+        # the lattice cover of this valid triangle would be a 72,009 x 101,000
+        # boolean matrix (6.8 GiB); under a 2 GiB address-space limit it must
+        # end in exit 4, quickly, not in a MemoryError
+        pytest.importorskip("resource")
+        path = tmp_path / "thin.json"
+        save_family(Family(body=ConvexBody.polygon([(0, 0), (1, 0), (1, 0.001)]),
+                           placements=(Placement((0.0, 0.0)),)), path)
+        limit = 2 << 30
+        script = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))"
+                  f"; from convex_chroma.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        for command in (["verify"], ["color", "--method", "symmetrized"]):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", script, *command, "--in", str(path),
+                                   "--out", str(tmp_path / "r.json")],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert time.perf_counter() - t0 < 10.0
+            assert proc.returncode == EXIT_INPUT, proc.stderr
+            assert proc.stderr.splitlines() == [
+                "error: lattice cover too large: 72009 lattice points x 101000 sample points "
+                "exceed 268435456 coverage entries"]
+
+
+_BODIES = [
+    {"kind": "polygon2d", "vertices": [[0, 0], [1, 0], [0, 1]]},
+    {"kind": "box", "sides": [1, 1]},
+    {"kind": "disk"},
+]
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.text(max_size=3),
+                  st.just([]), st.just({}), st.just([1, "a"]),
+                  st.sampled_from([math.nan, math.inf, -math.inf]))
+_NUMBER = (int, float)
+
+
+def _slots(node):
+    """Every (container, key) slot under a parsed JSON node, depth first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+@st.composite
+def _malformed_family(draw) -> dict:
+    """A valid family of at most 8 members with one structural defect."""
+    uniform = draw(st.booleans())
+    coord = st.floats(0, 4)
+    fam = {
+        "body": copy.deepcopy(draw(st.sampled_from(_BODIES))),
+        "placements": [{"center": [draw(coord), draw(coord)],
+                        "scale": 1.0 if uniform else draw(st.floats(0.5, 2))}
+                       for _ in range(draw(st.integers(1, 8)))],
+        "meta": {},
+    }
+    slots = list(_slots(fam))
+    defect = draw(st.sampled_from(["missing", "retyped", "non-finite", "dimension",
+                                   "clockwise", "non-convex", "no-placements"]))
+    if defect == "missing":
+        container, key = draw(st.sampled_from([s for s in slots if isinstance(s[0], dict)]))
+        del container[key]
+    elif defect == "retyped":
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(_JUNK)
+    elif defect == "non-finite":
+        container, key = draw(st.sampled_from(
+            [s for s in slots if type(s[0][s[1]]) in _NUMBER]))
+        container[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif defect == "dimension":
+        vectors = [s[0][s[1]] for s in slots if isinstance(s[0][s[1]], list)
+                   and s[0][s[1]] and all(type(x) in _NUMBER for x in s[0][s[1]])]
+        vector = draw(st.sampled_from(vectors))
+        if draw(st.booleans()):
+            vector.append(0.5)
+        else:
+            vector.pop()
+    elif defect == "clockwise":
+        fam["body"] = {"kind": "polygon2d", "vertices": [[0, 0], [0, 1], [1, 0]]}
+    elif defect == "non-convex":
+        fam["body"] = {"kind": "polygon2d",
+                       "vertices": [[0, 0], [1, 0], [0.2, 0.2], [0, 1]]}
+    else:
+        fam["placements"] = []
+    return fam
+
+
+class TestMalformedFamilyCorpus:
+    @settings(max_examples=60)
+    @given(fam=_malformed_family(), method=st.sampled_from(["translates", "homothets",
+                                                            "symmetrized"]))
+    def test_every_command_ends_in_a_documented_code(self, fam, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fam.json"
+            path.write_text(json.dumps(fam))
+            for command in (["color", "--method", method], ["partition", "--method", method],
+                            ["verify"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*command, "--in", str(path), "--samples", "1000",
+                                 "--out", str(Path(tmp) / "rep.json")])
+                assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_CAPPED, EXIT_INPUT), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if code == EXIT_INPUT:
+                    assert err.getvalue().startswith("error: ")
+                    assert len(err.getvalue().splitlines()) == 1
 
 
 def _count_calls(monkeypatch, names: list[str]) -> dict[str, int]:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from convex_chroma.constructions import (
-    ConstructionError,
     density,
     explicit_pentagon_coloring,
     grid_family,
@@ -92,12 +91,12 @@ class TestPentagonFamilies:
                 assert g.adjacent(i, j) == expected
 
     def test_bad_geometry_detected(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(GeometryError):
             pentagon_family(2, circumradius=2.0)  # consecutive squares no longer meet
 
     @pytest.mark.parametrize("k,spacing", [(2, 1.0), (3, 2.5), (4, 0.0)])
     def test_disjoint_copies_too_close_detected(self, k, spacing):
-        with pytest.raises(ConstructionError, match="pairwise disjoint"):
+        with pytest.raises(GeometryError, match="pairwise disjoint"):
             pentagon_disjoint_family(k, spacing=spacing)
 
     def test_jitter_keeps_members_distinct(self):
@@ -222,7 +221,7 @@ class TestRandomFamily:
     def test_rejection_budget_error(self, unit_square):
         # margin 5 is unachievable inside a width-5 window, so the second
         # member must burn the whole resample budget
-        with pytest.raises(ConstructionError):
+        with pytest.raises(GeometryError):
             random_family(unit_square, 2, (0, 5), seed=0, margin=5.0)
 
 

@@ -14,7 +14,7 @@ from convex_chroma.covering import (
     known_certificate,
     verify_certificate,
 )
-from convex_chroma.geometry import ConvexBody, minkowski_sum, reflect
+from convex_chroma.geometry import ConvexBody, GeometryError, minkowski_sum, reflect
 from convex_chroma.homothet_coloring import symmetrized_certificate
 
 
@@ -131,6 +131,15 @@ class TestCoverByTranslates:
             )
             kappas.append(cert.kappa_ub)
         assert all(a >= b for a, b in zip(kappas, kappas[1:]))
+
+    def test_a_lattice_above_the_limit_is_rejected_before_sampling(self, monkeypatch):
+        def no_samples(*args):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr(covering, "_sample_target", no_samples)
+        thin = ConvexBody.polygon([(0, 0), (1, 0), (1, 1e-7)])
+        with pytest.raises(GeometryError, match="720000045 lattice points x 101000 sample points"):
+            cover_by_translates(minkowski_sum(thin, reflect(thin)), thin)
 
     def test_every_certificate_verifies_at_full_samples(self, unit_square, disk):
         certs = [

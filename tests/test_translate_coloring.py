@@ -6,6 +6,7 @@ import pytest
 from convex_chroma.constructions import grid_family, pentagon_family, random_family
 from convex_chroma.families import Family, translates
 from convex_chroma.geometry import (
+    ConsistencyError,
     ConvexBody,
     GeometryError,
     Placement,
@@ -23,9 +24,8 @@ from convex_chroma.graph_core import (
 from convex_chroma.translate_coloring import (
     BoundParams,
     NormalizedFamily,
-    OffsetSearchError,
     Offsets,
-    PosetError,
+    PosetClass,
     antichain_partition,
     build_poset,
     chain_partition,
@@ -139,7 +139,7 @@ class TestChooseOffsets:
         # fractional parts form a 1.5e-6 net, so no offset clears 1e-6
         refs = np.arange(0.0, 1.0, 1.5e-6).reshape(-1, 1)
         nf = make_normalized(refs, BoundParams.from_ratio(1, 1.0))
-        with pytest.raises(OffsetSearchError):
+        with pytest.raises(GeometryError):
             choose_offsets(nf, seed=0)
 
     def test_deterministic(self, unit_square):
@@ -254,10 +254,93 @@ class TestPoset:
     def test_intransitive_relation_rejected(self):
         rel = np.zeros((3, 3), dtype=bool)
         rel[0, 1] = rel[1, 2] = True  # missing 0 -> 2
-        from convex_chroma.translate_coloring import PosetClass
-
-        with pytest.raises(PosetError):
+        with pytest.raises(ConsistencyError):
             PosetClass(members=(0, 1, 2), relation=rel, last_coords=np.array([0.0, 1.0, 2.0]))
+
+
+def _reference_chains(poset: PosetClass) -> list[list[int]]:
+    """chain_partition's Kuhn matching, reading the relation one scalar at a
+    time: the reference for the successor lists."""
+    m, rel = len(poset.members), poset.relation
+    match_left, match_right = [-1] * m, [-1] * m
+
+    def augment(u, visited):
+        for v in range(m):
+            if rel[u, v] and not visited[v]:
+                visited[v] = True
+                if match_right[v] == -1 or augment(match_right[v], visited):
+                    match_right[v], match_left[u] = u, v
+                    return True
+        return False
+
+    for u in range(m):
+        augment(u, [False] * m)
+    chains = []
+    for v in range(m):
+        if match_right[v] == -1:
+            chain = [v]
+            while match_left[chain[-1]] != -1:
+                chain.append(match_left[chain[-1]])
+            chains.append([poset.members[i] for i in chain])
+    return sorted(chains, key=min)
+
+
+def _reference_layers(poset: PosetClass) -> list[list[int]]:
+    """antichain_partition's Mirsky layering, scanning each predecessor column."""
+    m = len(poset.members)
+    level = [0] * m
+    for i in sorted(range(m), key=lambda i: (poset.last_coords[i], i)):
+        preds = [level[j] for j in range(m) if poset.relation[j, i]]
+        level[i] = 1 + max(preds) if preds else 0
+    layers = [[] for _ in range(max(level) + 1 if m else 0)]
+    for i in range(m):
+        layers[level[i]].append(poset.members[i])
+    return layers
+
+
+class TestPartitionsMatchTheScalarReference:
+    @pytest.mark.parametrize("body,scale", [
+        (ConvexBody.unit_square(), 1.0),
+        (ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]), 0.5),
+        (ConvexBody.disk(), math.sqrt(2) / 4),
+    ], ids=["square", "triangle", "disk"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tangent_grids(self, body, scale, m):
+        grid = grid_family(body, m)
+        fam = Family(body=body, placements=tuple(Placement(tuple(c), scale)
+                                                 for c in grid.centers()))
+        nf = normalize(fam)
+        g = build_graph(fam)
+        for seed in range(3):
+            for members in decompose(nf, choose_offsets(nf, seed=seed)).classes().values():
+                poset = build_poset(members, nf, g)
+                assert chain_partition(poset) == _reference_chains(poset)
+                assert antichain_partition(poset) == _reference_layers(poset)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_dominance_posets(self, seed):
+        # i precedes j iff j dominates i in both coordinates: a strict partial
+        # order whose first coordinate is a linear extension
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 80))
+        pts = rng.random((m, 2))
+        rel = (pts[:, None, 0] < pts[None, :, 0]) & (pts[:, None, 1] < pts[None, :, 1])
+        poset = PosetClass(members=tuple(range(100, 100 + m)), relation=rel,
+                           last_coords=pts[:, 0])
+        assert chain_partition(poset) == _reference_chains(poset)
+        assert antichain_partition(poset) == _reference_layers(poset)
+
+    @pytest.mark.parametrize("name", ["square", "triangle"])
+    def test_random_translate_families(self, name):
+        body = (ConvexBody.unit_square() if name == "square"
+                else ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]))
+        fam = random_family(body, 150, (0, 6), seed=3)
+        nf = normalize(fam)
+        g = build_graph(fam)
+        for members in decompose(nf, choose_offsets(nf)).classes().values():
+            poset = build_poset(members, nf, g)
+            assert chain_partition(poset) == _reference_chains(poset)
+            assert antichain_partition(poset) == _reference_layers(poset)
 
 
 class TestColorTranslates:
