@@ -6,6 +6,7 @@ from .covering import (
     CoveringCertificate,
     CoverReport,
     cover_by_translates,
+    difference_certificate,
     known_certificate,
     verify_certificate,
 )
@@ -55,10 +56,10 @@ from .homothet_coloring import (
     PiercingAssignment,
     clique_partition_homothets,
     color_homothets,
-    color_translates_symmetrized,
     pierce_intersecting_smallest,
     size_order,
     symmetrized_certificate,
+    symmetrized_family,
 )
 from .reports import ColoringReport, PartitionReport, RunReport
 from .translate_coloring import (

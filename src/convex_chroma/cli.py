@@ -9,24 +9,24 @@ internal fault; `main` alone maps exception types to them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
 from .constructions import grid_family, pentagon_disjoint_family, pentagon_family, random_family
 from .covering import (
+    DEFAULT_SAMPLES,
     CoveringCertificate,
     check_samples,
-    cover_by_translates,
+    difference_certificate,
     difference_cover_ceiling,
-    known_certificate,
 )
-from .families import Family, dumps_family, family_digest, load_family
-from .geometry import ConvexBody, GeometryError, _shape, minkowski_sum, reflect
+from .families import Family, dumps_family, family_digest, load_family, read_json
+from .geometry import ConvexBody, GeometryError, _shape
 from .graph_core import (
     SolveResult,
     SolverCaps,
@@ -40,12 +40,7 @@ from .graph_core import (
     verify_clique_partition,
     verify_coloring,
 )
-from .homothet_coloring import (
-    clique_partition_homothets,
-    color_homothets,
-    color_translates_symmetrized,
-    symmetrized_certificate,
-)
+from .homothet_coloring import clique_partition_homothets, color_homothets, symmetrized_family
 from .reports import ColoringReport, InequalityCheck, PartitionReport, RunReport, canonical_json
 from .translate_coloring import TranslatePipeline, translate_pipeline
 
@@ -160,41 +155,29 @@ class _Run:
     def nu(self) -> SolveResult:
         return max_independent_set(self.graph, cap=self.caps.omega)
 
-    def _require_translates(self, method: str) -> None:
-        if not self.family.is_translate_family:
-            raise GeometryError(f"the {method} method needs a uniform-scale family")
-
     @cached_property
     def translates(self) -> TranslatePipeline:
-        self._require_translates("translates")
         return translate_pipeline(self.family, self.graph, seed=self.seed)
 
     @cached_property
-    def symmetrized_cert(self) -> CoveringCertificate:
-        self._require_translates("symmetrized")
-        return symmetrized_certificate(self.family.body, samples=self.samples)
+    def homothets(self) -> tuple[Family, CoveringCertificate]:
+        return self.family, difference_certificate(self.family.body, self.family.body,
+                                                   self.samples)
 
     @cached_property
-    def difference_cert(self) -> CoveringCertificate:
-        """kappa(C-C, C) certificate: known for boxes/disk, constructed otherwise."""
-        body = self.family.body
-        cert = known_certificate(body)
-        if cert is None:
-            target = minkowski_sum(body, reflect(body))
-            cert = cover_by_translates(target, body, samples=self.samples)
-        return cert
+    def symmetrized(self) -> tuple[Family, CoveringCertificate]:
+        return symmetrized_family(self.family, self.samples)
 
     def coloring(self, method: str) -> tuple[ColoringReport, list[InequalityCheck]]:
         """One method's coloring and its checks against omega."""
         omega = _exact(self.omega)
         if method == "translates":
             rep = self.translates.coloring()
-        elif method == "symmetrized":
-            rep = color_translates_symmetrized(self.family, seed=self.seed, omega=omega,
-                                               cert=self.symmetrized_cert, graph=self.graph)
         else:
-            rep = color_homothets(self.family, self.difference_cert, omega=omega,
-                                  graph=self.graph)
+            family, cert = self.symmetrized if method == "symmetrized" else self.homothets
+            rep = color_homothets(family, cert, omega=omega, graph=self.graph)
+            if method == "symmetrized":
+                rep = replace(rep, method="corollary1", seed=self.seed)
         checks = [_flag(f"coloring[{method}]_proper", verify_coloring(self.graph, list(rep.colors)))]
         if omega is not None and len(self.family) > 0:
             bound = rep.params["t_bound"] * omega if method == "translates" else rep.bound_value
@@ -207,14 +190,9 @@ class _Run:
         nu = _exact(self.nu)
         if method == "translates":
             rep = self.translates.partition()
-        elif method == "symmetrized":
-            cert = self.symmetrized_cert
-            k_family = Family(body=cert.unit, placements=self.family.placements,
-                              meta=dict(self.family.meta))
-            rep = clique_partition_homothets(k_family, cert, nu=nu, graph=self.graph)
         else:
-            rep = clique_partition_homothets(self.family, self.difference_cert, nu=nu,
-                                             graph=self.graph)
+            family, cert = self.symmetrized if method == "symmetrized" else self.homothets
+            rep = clique_partition_homothets(family, cert, nu=nu, graph=self.graph)
         checks = [_flag(f"partition[{method}]_cliques",
                         verify_clique_partition(self.graph, list(rep.classes_assign)))]
         if nu is not None and len(self.family) > 0:
@@ -271,8 +249,7 @@ def _is_int(value) -> bool:
 
 def _load_claims(path: str) -> dict[str, int]:
     """The omega/nu/chi/theta claims of a --expect file, a JSON object."""
-    with open(path) as fh:
-        claims = json.load(fh)
+    claims = read_json(path)
     if not isinstance(claims, dict):
         raise ValueError("claims file must hold a JSON object")
     known = ("omega", "nu", "chi", "theta")
@@ -400,8 +377,7 @@ def cmd_export(args) -> int:
     else:
         colors = None
         if args.coloring:
-            with open(args.coloring) as fh:
-                colors = _extract_colors(json.load(fh))
+            colors = _extract_colors(read_json(args.coloring))
             if len(colors) != len(family):
                 raise ValueError("coloring length does not match the family")
         text = family_svg(family, colors)
@@ -429,39 +405,38 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_generate)
 
+    family = argparse.ArgumentParser(add_help=False)  # flags of the commands reading a family
+    family.add_argument("--in", dest="input", required=True)
+    family.add_argument("--caps", default=None)
+    family.add_argument("--out", default=None)
+    run = argparse.ArgumentParser(add_help=False, parents=[family])
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+
     for name, func in (("color", cmd_color), ("partition", cmd_partition)):
-        cp = sub.add_parser(name, help=f"{name} a family and check the bound")
-        cp.add_argument("--in", dest="input", required=True)
+        cp = sub.add_parser(name, parents=[run], help=f"{name} a family and check the bound")
         cp.add_argument("--method", choices=["translates", "homothets", "symmetrized"],
                         default="translates")
-        cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--caps", default=None)
-        cp.add_argument("--samples", type=int, default=100_000)
-        cp.add_argument("--out", default=None)
         cp.set_defaults(func=func)
 
-    ver = sub.add_parser("verify", help="run all applicable algorithms and oracles")
-    ver.add_argument("--in", dest="input", required=True)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--caps", default=None)
-    ver.add_argument("--samples", type=int, default=100_000)
+    ver = sub.add_parser("verify", parents=[run],
+                         help="run all applicable algorithms and oracles")
     ver.add_argument("--expect", default=None, help="JSON of claimed invariants to check")
-    ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
-    exp = sub.add_parser("export", help="export DIMACS/SVG/CSV")
-    exp.add_argument("--in", dest="input", required=True)
+    exp = sub.add_parser("export", parents=[family], help="export DIMACS/SVG/CSV")
     exp.add_argument("--format", choices=["dimacs", "svg", "csv"], required=True)
     exp.add_argument("--coloring", default=None, help="report or color-list JSON for SVG fills")
-    exp.add_argument("--caps", default=None)
-    exp.add_argument("--out", default=None)
     exp.set_defaults(func=cmd_export)
     return parser
 
 
+_PARSER = build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_INPUT if exc.code else EXIT_OK

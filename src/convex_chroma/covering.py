@@ -1,16 +1,17 @@
 """Covering certificates: explicit translation sets witnessing that a target
 body is covered by translates of a unit body.
 
-These certificates carry the kappa(C-C, C) upper bounds that parameterize the
-homothet coloring bounds.  kappa values are verified upper bounds, not minima.
+These certificates carry the kappa(C-C, C) and kappa(C-C, K) upper bounds,
+K = (C-C)/2, of the homothet coloring bounds: verified upper bounds, not minima.
 
-Box and disk covers are proven in closed form (their shapes' `known_cover`
-states the proof) and draw no samples.  Any other cover is a lattice cover
-checked by deterministic low-discrepancy sampling: a build draws its target's
-sample set once, prunes the lattice on it and checks the finished certificate
-on the same points.  Point margins are computed column by column (one
-contiguous array per facet normal or axis), and `verify_certificate` draws
-the same set afresh for any certificate.
+`difference_certificate` alone chooses how C-C is covered.  Box and disk
+units are proven in closed form (their shapes' `known_cover` states the
+proof) and draw no samples.  Any other cover is a lattice cover checked by
+deterministic low-discrepancy sampling: a build draws its target's sample set
+once, prunes the lattice on it and checks the finished certificate on the
+same points.  Point margins are computed column by column (one contiguous
+array per facet normal or axis), and `verify_certificate` draws the same set
+afresh for any certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, halton
+from .geometry import (TOL, ConsistencyError, ConvexBody, GeometryError, _shape, halton,
+                       minkowski_sum, reflect)
 
 BOUNDARY_SAMPLES = 1000
 DEFAULT_SAMPLES = 100_000
@@ -125,6 +127,17 @@ def known_certificate(body: ConvexBody) -> CoveringCertificate | None:
         target=target, unit=body, translations=translations, kappa_ub=len(translations),
         target_scale=target_scale, worst_margin=0.0,
     )
+
+
+def difference_certificate(body: ConvexBody, unit: ConvexBody,
+                           samples: int = DEFAULT_SAMPLES) -> CoveringCertificate:
+    """Certificate that C-C is covered by translates of `unit`, C itself or
+    K = (C-C)/2 (K-K = C-C too): closed-form for a box or disk unit, else a
+    lattice cover whose verification draws `samples` interior points."""
+    cert = known_certificate(unit)
+    if cert is None:
+        cert = cover_by_translates(minkowski_sum(body, reflect(body)), unit, samples=samples)
+    return cert
 
 
 def cover_by_translates(

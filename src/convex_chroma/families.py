@@ -99,9 +99,17 @@ def save_family(family: Family, path) -> None:
         fh.write(dumps_family(family))
 
 
-def load_family(path) -> Family:
+def read_json(path):
+    """Parse a JSON input file; nesting too deep to parse is malformed input."""
     with open(path) as fh:
-        return Family.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise GeometryError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def load_family(path) -> Family:
+    return Family.from_json(read_json(path))
 
 
 def family_digest(family: Family) -> str:

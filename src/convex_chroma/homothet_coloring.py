@@ -10,17 +10,21 @@ points scaled from a covering certificate, and remove the round.
 The candidate points p1 + lam1*v_i are verified at runtime (every member must
 contain its assigned point); a greedy point-stabbing fallback keeps the
 partition valid if verification ever fails, and the report says so.
+
+Corollary 1 (translates of C) is this route on the translates of K = (C-C)/2
+at the same centers, which have the same intersection graph, with kappa(2K, K)
+= kappa(C-C, K); `symmetrized_family` builds that family and its certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import DEFAULT_SAMPLES, CoveringCertificate, cover_by_translates, known_certificate
+from .covering import DEFAULT_SAMPLES, CoveringCertificate, difference_certificate
 from .families import Family
-from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, scale_body, symmetrize
+from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, symmetrize
 from .graph_core import IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
@@ -231,28 +235,15 @@ def clique_partition_homothets(
 
 
 def symmetrized_certificate(body: ConvexBody, samples: int = DEFAULT_SAMPLES) -> CoveringCertificate:
-    """Certificate for kappa(2K, K) with K the central symmetrization of C:
-    the closed-form cover when K is a box or the disk, else a lattice cover
-    whose verification draws `samples` interior points."""
-    k_body = symmetrize(body)
-    cert = known_certificate(k_body)
-    if cert is None:
-        cert = cover_by_translates(scale_body(k_body, 2.0), k_body, samples=samples)
-    return cert
+    """Certificate for kappa(2K, K) = kappa(C-C, K), K = (C-C)/2."""
+    return difference_certificate(body, symmetrize(body), samples)
 
 
-def color_translates_symmetrized(
-    family: Family, seed: int = 0, cert: CoveringCertificate | None = None,
-    omega: int | None = None, graph: IntersectionGraph | None = None,
-) -> ColoringReport:
-    """Corollary-1 path: replace C by K = (C-C)/2 (which preserves the
-    intersection graph, so the family's own graph may be passed), fetch a
-    kappa(2K, K) certificate, and run the homothet first-fit coloring on the
-    K-translates."""
+def symmetrized_family(family: Family,
+                       samples: int = DEFAULT_SAMPLES) -> tuple[Family, CoveringCertificate]:
+    """Corollary 1 as Theorem 2 on K = (C-C)/2: a translate family's K-translates
+    (the same intersection graph) and their kappa(2K, K) certificate."""
     if not family.is_translate_family:
-        raise GeometryError("symmetrized coloring expects a translate family")
-    if cert is None:
-        cert = symmetrized_certificate(family.body)
-    k_family = Family(body=cert.unit, placements=family.placements, meta=dict(family.meta))
-    report = color_homothets(k_family, cert, omega=omega, graph=graph)
-    return replace(report, method="corollary1", seed=seed)
+        raise GeometryError("the symmetrized method needs a uniform-scale family")
+    cert = symmetrized_certificate(family.body, samples=samples)
+    return Family(body=cert.unit, placements=family.placements, meta=dict(family.meta)), cert

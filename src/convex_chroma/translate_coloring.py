@@ -129,7 +129,7 @@ def normalize(family: Family) -> NormalizedFamily:
     """Affine-normalize a translate family so the fitted parallelogram is the
     unit cube; boxes of any dimension <= 6 fit themselves (r = 1)."""
     if not family.is_translate_family:
-        raise GeometryError("normalize expects a translate family (uniform scale)")
+        raise GeometryError("the translates method needs a uniform-scale family")
     body = family.body
     scale = float(family.scales()[0]) if len(family) else 1.0
     matrix, ratio = _shape(body).normalizing_map(body, scale)
@@ -222,18 +222,27 @@ def chain_partition(poset: PosetClass) -> list[list[int]]:
     match_left = [-1] * m   # successor chosen for each node
     match_right = [-1] * m  # predecessor that claimed each node
 
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in succ[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] == -1 or augment(match_right[v], visited):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(m):
-        augment(u, [False] * m)
+    # Kuhn's augmenting-path search from each root, depth first on an explicit
+    # stack (a path can outgrow the recursion limit), successors ascending
+    for root in range(m):
+        visited = [False] * m
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            for v in stack[-1][1]:
+                if not visited[v]:
+                    break
+            else:
+                stack.pop()
+                continue
+            visited[v] = True
+            if match_right[v] != -1:
+                stack.append((match_right[v], iter(succ[match_right[v]])))
+                continue
+            # flip the path: each node takes the successor it tried, which
+            # below the top is the old partner of the node above
+            for u, _ in reversed(stack):
+                match_right[v], match_left[u], v = u, v, match_left[u]
+            break
 
     chains = []
     for v in range(m):

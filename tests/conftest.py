@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 from scipy.spatial import ConvexHull
 
+from convex_chroma.families import Family, translates
 from convex_chroma.geometry import ConvexBody
 
 # property tests draw the same examples on every run and keep no database
@@ -32,6 +33,13 @@ def triangle() -> ConvexBody:
 @pytest.fixture
 def disk() -> ConvexBody:
     return ConvexBody.disk()
+
+
+def strip_family() -> Family:
+    """1,600 unit squares centered on the line x = 0.25: one lattice line and
+    one class, whose Kuhn matching needs an augmenting path of 1,274 steps."""
+    y = np.sort(np.random.default_rng(0).uniform(0, 100, 1600))
+    return translates(ConvexBody.unit_square(), [(0.25, float(v)) for v in y])
 
 
 def random_polygon(seed: int, points: int = 10) -> ConvexBody:

@@ -12,16 +12,18 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_chroma import cli, geometry, graph_core, translate_coloring
+from convex_chroma import cli, covering, geometry, graph_core, translate_coloring
 from convex_chroma.cli import EXIT_CAPPED, EXIT_FAULT, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from convex_chroma.constructions import pentagon_family, random_family
 from convex_chroma.families import Family, load_family, save_family
 from convex_chroma.geometry import ConsistencyError, ConvexBody, Placement
 from convex_chroma.graph_core import build_graph, from_dimacs
+from conftest import strip_family
 
 
 def run(args: list[str]) -> int:
@@ -99,9 +101,10 @@ class TestColor:
     def test_symmetrized(self, pentagon2, tmp_path):
         out = tmp_path / "rep.json"
         assert run(["color", "--in", str(pentagon2), "--method", "symmetrized",
-                    "--out", str(out)]) == EXIT_OK
+                    "--seed", "5", "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["outputs"]["coloring"]["method"] == "corollary1"
+        assert rep["outputs"]["coloring"]["seed"] == rep["seed"] == 5
 
 
 class TestPartition:
@@ -272,6 +275,20 @@ class TestExitCodes:
             Placement((1e300, 1e300)), Placement((1e300, -1e300)))), path)
         return path
 
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        save_family(Family(body=ConvexBody.unit_square(), placements=(
+            Placement((0.0, 0.0), 1.0), Placement((0.5, 0.5), 2.0))), path)
+        return path
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        # nested deeper than the JSON parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        return path
+
     @pytest.mark.parametrize("args,inject,code,message", [
         (["color", "--in", "{p2}", "--method", "bogus"], None, EXIT_INPUT, "invalid choice"),
         (["color", "--in", "{p2}", "--samples", "abc"], None, EXIT_INPUT, "invalid int"),
@@ -279,24 +296,53 @@ class TestExitCodes:
         (["color", "--in", "{far}", "--method", "translates"], None, EXIT_INPUT,
          "tangent to a lattice line"),
         (["verify", "--in", "{far}"], None, EXIT_INPUT, "tangent to a lattice line"),
+        (["color", "--in", "{mixed}", "--method", "translates"], None, EXIT_INPUT,
+         "the translates method needs a uniform-scale family"),
+        (["color", "--in", "{mixed}", "--method", "symmetrized"], None, EXIT_INPUT,
+         "the symmetrized method needs a uniform-scale family"),
+        (["verify", "--in", "{deep}"], None, EXIT_INPUT, "nested too deeply"),
+        (["verify", "--in", "{p2}", "--expect", "{deep}"], None, EXIT_INPUT, "nested too deeply"),
+        (["export", "--in", "{p2}", "--format", "svg", "--coloring", "{deep}"], None,
+         EXIT_INPUT, "nested too deeply"),
         (["color", "--in", "{p2}"], ConsistencyError("injected"), EXIT_FAULT,
          "error: internal fault (ConsistencyError): injected"),
         (["color", "--in", "{p2}"], RecursionError("maximum recursion depth exceeded"),
          EXIT_FAULT, "error: internal fault (RecursionError): maximum recursion depth exceeded"),
     ], ids=["bad-choice", "bad-int", "missing-in", "far-color", "far-verify",
-            "consistency-fault", "recursion-fault"])
+            "mixed-translates", "mixed-symmetrized", "deep-family", "deep-claims",
+            "deep-coloring", "consistency-fault", "recursion-fault"])
     def test_failure_ends_in_its_code_with_one_error_line(
-            self, pentagon2, far, tmp_path, capsys, monkeypatch, args, inject, code, message):
+            self, pentagon2, far, mixed, deep, tmp_path, capsys, monkeypatch, args, inject,
+            code, message):
         if inject is not None:
             monkeypatch.setattr(cli, "translate_pipeline", _raise(inject))
         out = tmp_path / "rep.json"
-        argv = [a.format(p2=pentagon2, far=far) for a in args] + ["--out", str(out)]
+        argv = [a.format(p2=pentagon2, far=far, mixed=mixed, deep=deep)
+                for a in args] + ["--out", str(out)]
         assert run(argv) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if "error: " in line]
         assert len(lines) == 1 and message in lines[0]
         assert not out.exists()
+
+    def test_augmenting_paths_deeper_than_the_recursion_limit_end_capped(self, tmp_path):
+        # one class of 1,600 squares whose Kuhn matching walks 1,274 steps deep
+        fam = strip_family()
+        path, out = tmp_path / "strip.json", tmp_path / "r.json"
+        save_family(fam, path)
+        assert run(["verify", "--in", str(path), "--out", str(out)]) == EXIT_CAPPED
+        rep = json.loads(out.read_text())
+        assert rep["all_passed"]
+        y = fam.centers()[:, 1]
+        meets = np.abs(y[:, None] - y[None, :]) <= 1.0
+        np.fill_diagonal(meets, False)
+        colors = np.array(rep["outputs"]["coloring_translates"]["colors"])
+        classes = np.array(rep["outputs"]["partition_translates"]["classes_assign"])
+        same_class = classes[:, None] == classes[None, :]
+        np.fill_diagonal(same_class, False)
+        assert not (meets & (colors[:, None] == colors[None, :])).any()
+        assert meets[same_class].all()
 
     @pytest.mark.parametrize("args", [["--help"], ["color", "--help"]])
     def test_help_exits_0(self, capsys, args):
@@ -413,14 +459,14 @@ class TestMalformedFamilyCorpus:
                     assert len(err.getvalue().splitlines()) == 1
 
 
-def _count_calls(monkeypatch, names: list[str]) -> dict[str, int]:
-    """Count calls the CLI makes through its module-global names."""
+def _count_calls(monkeypatch, names: list[str], module=cli) -> dict[str, int]:
+    """Count calls made through the module-global names of `module`."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -447,7 +493,7 @@ class TestRunContext:
         assert run(["generate", "random", "--body", "triangle", "--count", "12",
                     "--window", "0,3", "--seed", "3", "--out", str(fam)]) == EXIT_OK
         counts = _count_calls(monkeypatch, ["max_clique", "max_independent_set",
-                                            "symmetrized_certificate", "translate_pipeline"])
+                                            "symmetrized_family", "translate_pipeline"])
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert counts == dict.fromkeys(counts, 1)
@@ -509,7 +555,8 @@ class TestRunContext:
         fam = tmp_path / "h.json"
         assert run(["generate", "random", "--body", "triangle", "--count", "12",
                     "--scales", "0.5,2", "--seed", "5", "--out", str(fam)]) == EXIT_OK
-        counts = _count_calls(monkeypatch, ["known_certificate", "cover_by_translates"])
+        counts = _count_calls(monkeypatch, ["known_certificate", "cover_by_translates"],
+                              module=covering)
         assert run(["verify", "--in", str(fam), "--samples", "20000",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert counts == {"known_certificate": 1, "cover_by_translates": 1}

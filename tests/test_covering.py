@@ -14,7 +14,8 @@ from convex_chroma.covering import (
     known_certificate,
     verify_certificate,
 )
-from convex_chroma.geometry import ConvexBody, GeometryError, minkowski_sum, reflect
+from convex_chroma.geometry import (ConvexBody, GeometryError, minkowski_sum, reflect, scale_body,
+                                    symmetrize)
 from convex_chroma.homothet_coloring import symmetrized_certificate
 
 
@@ -240,6 +241,15 @@ def test_sampled_certificates_are_pinned(name):
         text = json.dumps([cert.kappa_ub, cert.translations])
         got += [cert.kappa_ub, hashlib.sha256(text.encode()).hexdigest()]
     assert tuple(got) == CERTIFICATE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PIN_BODIES))
+def test_twice_the_symmetrization_is_the_difference_body(name):
+    # symmetrized_certificate covers C-C by translates of K, and reads as a
+    # kappa(2K, K) certificate because 2K is C-C, bit for bit
+    body = PIN_BODIES[name]
+    assert scale_body(symmetrize(body), 2.0) == minkowski_sum(body, reflect(body))
+    assert symmetrized_certificate(body, samples=5_000).target == scale_body(symmetrize(body), 2.0)
 
 
 # verified_samples and the float.hex of worst_margin of the same certificates,

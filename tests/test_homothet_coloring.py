@@ -26,10 +26,10 @@ from convex_chroma.graph_core import (
 from convex_chroma.homothet_coloring import (
     clique_partition_homothets,
     color_homothets,
-    color_translates_symmetrized,
     pierce_intersecting_smallest,
     size_order,
     symmetrized_certificate,
+    symmetrized_family,
 )
 
 
@@ -224,11 +224,14 @@ class TestCliquePartitionHomothets:
 
 
 class TestSymmetrizedPath:
+    """Corollary 1 as Theorem 2 on the K-translates of symmetrized_family."""
+
     def test_square_kappa_four(self, unit_square):
         fam = random_family(unit_square, 15, (0, 5), seed=3)
         g = build_graph(fam)
         omega = max_clique(g).value
-        rep = color_translates_symmetrized(fam, seed=0, omega=omega)
+        k_fam, cert = symmetrized_family(fam)
+        rep = color_homothets(k_fam, cert, omega=omega, graph=g)
         assert rep.kappa_ub == 4
         assert rep.bound_value == 4 * (omega - 1) + 1
         assert rep.colors_used <= rep.bound_value
@@ -236,34 +239,36 @@ class TestSymmetrizedPath:
 
     def test_triangle_hexagon_same_graph(self, triangle):
         fam = random_family(triangle, 20, (0, 5), seed=6)
-        k_body = symmetrize(triangle)
-        k_fam = Family(body=k_body, placements=fam.placements)
-        assert build_graph(fam).rows == build_graph(k_fam).rows
-        cert = symmetrized_certificate(triangle)
+        k_fam, cert = symmetrized_family(fam)
+        assert k_fam.body == symmetrize(triangle) == cert.unit
+        assert k_fam.placements == fam.placements
         g = build_graph(fam)
-        rep = color_translates_symmetrized(fam, seed=0, cert=cert,
-                                           omega=max_clique(g).value)
+        assert g.rows == build_graph(k_fam).rows
+        assert cert == symmetrized_certificate(triangle)
+        rep = color_homothets(k_fam, cert, omega=max_clique(g).value, graph=g)
         assert verify_coloring(g, list(rep.colors))
         assert rep.colors_used <= rep.bound_value
 
     def test_samples_reach_the_certificate(self, triangle):
         cert = symmetrized_certificate(triangle, samples=20_000)
         assert cert.verified_samples == 20_000 + BOUNDARY_SAMPLES
+        _, cert = symmetrized_family(translates(triangle, [(0, 0)]), samples=20_000)
+        assert cert.verified_samples == 20_000 + BOUNDARY_SAMPLES
 
     def test_single_member(self, triangle):
-        fam = translates(triangle, [(0, 0)])
-        rep = color_translates_symmetrized(fam, seed=0, omega=1)
+        k_fam, cert = symmetrized_family(translates(triangle, [(0, 0)]))
+        rep = color_homothets(k_fam, cert, omega=1)
         assert rep.colors_used == 1
 
     def test_rejects_homothets(self, unit_square):
         fam = Family(body=unit_square, placements=(
             Placement((0, 0), 1.0), Placement((1, 1), 2.0),
         ))
-        with pytest.raises(GeometryError):
-            color_translates_symmetrized(fam)
+        with pytest.raises(GeometryError, match="symmetrized method"):
+            symmetrized_family(fam)
 
     def test_determinism(self, disk):
         fam = random_family(disk, 12, (0, 4), seed=77)
-        a = color_translates_symmetrized(fam, seed=2, omega=3)
-        b = color_translates_symmetrized(fam, seed=2, omega=3)
+        a = color_homothets(*symmetrized_family(fam), omega=3)
+        b = color_homothets(*symmetrized_family(fam), omega=3)
         assert a == b

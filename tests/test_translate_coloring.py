@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from convex_chroma.translate_coloring import (
     decompose,
     normalize,
 )
+from conftest import strip_family
 
 
 def make_normalized(refs: np.ndarray, params: BoundParams, family=None) -> NormalizedFamily:
@@ -259,14 +261,16 @@ class TestPoset:
 
 
 def _reference_chains(poset: PosetClass) -> list[list[int]]:
-    """chain_partition's Kuhn matching, reading the relation one scalar at a
-    time: the reference for the successor lists."""
-    m, rel = len(poset.members), poset.relation
+    """chain_partition's Kuhn matching as a recursive search over successors
+    read from the relation one scalar at a time: the reference for the
+    successor lists and for the explicit stack."""
+    m, rel = len(poset.members), poset.relation.tolist()
+    succ = [[v for v in range(m) if rel[u][v]] for u in range(m)]
     match_left, match_right = [-1] * m, [-1] * m
 
     def augment(u, visited):
-        for v in range(m):
-            if rel[u, v] and not visited[v]:
+        for v in succ[u]:
+            if not visited[v]:
                 visited[v] = True
                 if match_right[v] == -1 or augment(match_right[v], visited):
                     match_right[v], match_left[u] = u, v
@@ -341,6 +345,19 @@ class TestPartitionsMatchTheScalarReference:
             poset = build_poset(members, nf, g)
             assert chain_partition(poset) == _reference_chains(poset)
             assert antichain_partition(poset) == _reference_layers(poset)
+
+    def test_augmenting_paths_deeper_than_the_recursion_limit(self):
+        fam = strip_family()
+        nf = normalize(fam)
+        (members,) = decompose(nf, choose_offsets(nf)).classes().values()
+        poset = build_poset(members, nf, build_graph(fam))
+        chains = chain_partition(poset)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 5000))   # the reference recurses 1,274 deep
+        try:
+            assert chains == _reference_chains(poset)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestColorTranslates:
