@@ -263,8 +263,8 @@ def _load_claims(path: str) -> dict[str, int]:
 
 
 def cmd_verify(args) -> int:
-    run = _Run(args)
     claims = _load_claims(args.expect) if args.expect else {}
+    run = _Run(args)
     family, g = run.family, run.graph
     chi_res = chromatic_number(g, cap=run.caps.chi, clique=run.omega)
     theta_res = clique_cover_number(g, cap=run.caps.chi, independent=run.nu)

@@ -15,7 +15,9 @@ holds the defaults of the two centrally symmetric bodies. Outside
 One rule decides every homothet pair: lam1*C + c1 and lam2*C + c2 meet iff
 u.(c2 - c1) <= lam1*h_C(u) + lam2*h_C(-u) + TOL for every facet normal u of
 C and of -C (the facet normals of the Minkowski sum lam1*C + lam2*(-C)), with
-h_C the support function; the disk and the box are its closed forms.
+h_C the support function; the disk and the box are its closed forms.  Each
+shape's `adjacent` runs it on arrays of pairs; `pairwise_adjacency` feeds it
+the pairs within reach of an x-sorted sweep, and proves none left out passes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ TOL = 1e-9
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 _HALTON_TABLE = 1024  # most entries of halton's per-base table of low digits
+_PAIR_CHUNK = 1 << 18  # most candidate pairs pairwise_adjacency evaluates at once
 
 
 class GeometryError(ValueError):
@@ -229,6 +232,22 @@ class _Shape:
         return (np.array([-scale * self.support(-e) for e in eye]),
                 np.array([scale * self.support(e) for e in eye]))
 
+    def reach_boxes(self) -> np.ndarray:
+        """How far A = C, B = -C and U, the unit ball of the pair kernel's
+        tolerance, reach below and above 0 on each axis (shape (3, 2, d))."""
+        lo, hi = self.box(1.0)
+        return np.array([[-lo, hi], [hi, -lo], np.ones((2, self.dimension))])
+
+    @cached_property
+    def reach_terms(self) -> tuple[list, float]:
+        """Per axis and side, the factors of (s_max, s_min, t) in the reach of
+        s_i*A + s_j*B + t*U over s_i, s_j in [s_min, s_max] (s*r peaks at
+        s_max for r > 0, else at s_min); and the largest reach of A or B."""
+        parts = self.reach_boxes()
+        ab = parts[:2]
+        terms = np.stack([np.maximum(ab, 0).sum(axis=0), np.minimum(ab, 0).sum(axis=0), parts[2]])
+        return terms.transpose(2, 1, 0).tolist(), float(ab.max())
+
     def svg_element(self, center: np.ndarray, scale: float, style: str) -> str:
         """The SVG element drawing scale*C + center in 2D, with `style` attributes."""
         lo, hi = self.box(scale)
@@ -324,14 +343,27 @@ class _Polygon(_Shape):
         normals, h_pos, h_neg = self.table
         return (scales[:, None] * h_pos + scale * h_neg - delta @ normals.T).min(axis=1)
 
-    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
+    def reach_boxes(self) -> np.ndarray:
+        """Those of {x : u.x <= b(u), u in `table`} for b = h_C(u), h_C(-u)
+        and 1; each corner meets the lines of two normals adjacent in angle."""
         normals, h_pos, h_neg = self.table
-        dx = centers[None, :, 0] - centers[:, None, 0]
-        dy = centers[None, :, 1] - centers[:, None, 1]
-        adj = np.ones(dx.shape, dtype=bool)
-        for (ux, uy), hp, hm in zip(normals, h_pos, h_neg):
-            adj &= ux * dx + uy * dy <= (scales * hp + tol)[:, None] + (scales * hm)[None, :]
-        return adj
+        order = np.argsort(np.arctan2(normals[:, 1], normals[:, 0]))
+        u, b = normals[order], np.stack([h_pos[order], h_neg[order], np.ones(len(order))])
+        v, b_next = np.roll(u, -1, axis=0), np.roll(b, -1, axis=1)
+        corners = np.stack([b * v[:, 1] - b_next * u[:, 1], b_next * u[:, 0] - b * v[:, 0]],
+                           axis=2) / (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])[:, None]
+        return np.stack([-corners.min(axis=1), corners.max(axis=1)], axis=1)
+
+    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 tol: float) -> np.ndarray:
+        """Whether (i, j) or (j, i) passes u.d <= (s_i*h_C(u) + tol) + s_j*h_C(-u)
+        for every u of `table`, d = c_j - c_i; (j, i) negates u.d, exactly."""
+        normals, h_pos, h_neg = (a[..., None] for a in self.table)  # a row per normal
+        proj = (normals[:, 0] * (centers[:, 0][j] - centers[:, 0][i])
+                + normals[:, 1] * (centers[:, 1][j] - centers[:, 1][i]))
+        si, sj = scales[i], scales[j]
+        return ((proj <= (si * h_pos + tol) + sj * h_neg).all(axis=0)
+                | (-proj <= (sj * h_pos + tol) + si * h_neg).all(axis=0))
 
     def parallelogram_fit(self) -> ParallelogramFit:
         best: ParallelogramFit | None = None
@@ -511,9 +543,12 @@ class _Disk(_Shape):
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         return scales + scale - np.linalg.norm(delta, axis=1)
 
-    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-        return d <= scales[:, None] + scales[None, :] + tol
+    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 tol: float) -> np.ndarray:
+        """|c_i - c_j| <= (s_i + s_j) + tol, the same for (i, j) and (j, i)."""
+        dx = centers[:, 0][i] - centers[:, 0][j]
+        dy = centers[:, 1][i] - centers[:, 1][j]
+        return np.sqrt(dx * dx + dy * dy) <= (scales[i] + scales[j]) + tol
 
     def parallelogram_fit(self) -> ParallelogramFit:
         return ParallelogramFit(center=(0.0, 0.0), u=(0.5, 0.5), v=(0.5, -0.5), ratio=math.sqrt(2.0))
@@ -585,12 +620,11 @@ class _Box(_Shape):
         half = (scales + scale)[:, None] * np.asarray(self.sides) / 2.0
         return (half - np.abs(delta)).min(axis=1)
 
-    def adjacency(self, centers: np.ndarray, scales: np.ndarray, tol: float) -> np.ndarray:
-        sums = scales[:, None] + scales[None, :]
-        adj = np.ones(sums.shape, dtype=bool)
-        for a, h in enumerate(self.half):
-            adj &= np.abs(centers[:, None, a] - centers[None, :, a]) - sums * h <= tol
-        return adj
+    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 tol: float) -> np.ndarray:
+        """|x_i - x_j| - (s_i + s_j)*h <= tol on each axis, h the half side."""
+        gaps = np.abs(centers.T[:, i] - centers.T[:, j])  # a row per axis
+        return (gaps - (scales[i] + scales[j]) * self.half[:, None] <= tol).all(axis=0)
 
     def parallelogram_fit(self) -> ParallelogramFit:
         if self.dimension != 2:
@@ -772,11 +806,52 @@ def pair_margin(body: ConvexBody, p1: Placement, p2: Placement) -> float:
 def pairwise_adjacency(
     body: ConvexBody, centers: np.ndarray, scales: np.ndarray, tol: float = TOL
 ) -> np.ndarray:
-    """Boolean intersection matrix of a whole family, irreflexive; polygons
-    AND one n x n mask per facet normal of C - C."""
-    adj = _shape(body).adjacency(centers, scales, tol)
-    np.fill_diagonal(adj, False)
-    return adj | adj.T
+    """Boolean intersection matrix of a whole family, irreflexive: i ~ j iff
+    the shape's pair kernel P (`adjacent`) passes (i, j) or (j, i).
+
+    A sweep sorts the members by x, takes for each the later ones within
+    reach[0] along x, keeps those within reach[a] on every other axis, and
+    runs P on at most _PAIR_CHUNK of them at a time: n log n plus the
+    candidates, quadratic only where members crowd within one reach.
+
+    No pair left out passes P.  In exact arithmetic P(i, j) holds iff c_j -
+    c_i lies in R(t) at t = tol, R(t) the set cut out by P's inequalities
+    with tol replaced by t.  Sets cut out by one set of normals add by
+    adding offsets, so R(t) = s_i*A + s_j*B + t*U (`reach_terms`) for t >= 0.
+    reach[a] bounds |x_a| over R(t) at t = max(tol, 0) + eps for all s_i,
+    s_j in [s_min, s_max], so for both orders; eps = 1e-6*(1 + m) with m =
+    max|c| + s_max*max|box of A, B|.  So a pair left out misses R(tol +
+    eps/2) in both orders: in exact arithmetic an inequality of P fails by
+    over eps/2.  Its float evaluation errs by a few ulps of operands below
+    3m + tol, as does the sweep's own rounding: over 1e8 times less.  The
+    matrix is the one P gives on all n^2 ordered pairs.
+    """
+    shape, n = _shape(body), len(centers)
+    adj = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return adj
+    (terms, size), s_min, s_max = shape.reach_terms, float(scales.min()), float(scales.max())
+    t = max(tol, 0.0) + 1e-6 * (1.0 + float(np.abs(centers).max()) + s_max * size)
+    reach = [max(s_max * a + s_min * b + t * u for a, b, u in sides) for sides in terms]
+    order = centers[:, 0].argsort()
+    cols, s = centers.T[:, order], scales[order]  # cols[a]: coordinate a, sorted members
+    ends = cols[0].searchsorted(cols[0] + reach[0], side="right")
+    runs = ends - np.arange(1, n + 1)  # row k's candidates are k+1 .. ends[k]-1
+    done = runs.cumsum()
+    total, shift = int(done[-1]), ends - done
+    for start in range(0, total, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, total)
+        first, last = done.searchsorted((start, stop - 1), side="right")
+        skip = start - int(done[first] - runs[first])  # of row `first`, in earlier chunks
+        i = np.arange(first, last + 1).repeat(runs[first:last + 1])[skip:skip + stop - start]
+        j = np.arange(start, stop) + shift[i]
+        for col, r in zip(cols[1:], reach[1:]):
+            near = np.abs(col[i] - col[j]) <= r
+            i, j = i[near], j[near]
+        hit = shape.adjacent(cols.T, s, i, j, tol)
+        i, j = order[i[hit]], order[j[hit]]
+        adj[i, j] = adj[j, i] = True
+    return adj
 
 
 def containment_ratio(body: ConvexBody, fit: ParallelogramFit) -> float:

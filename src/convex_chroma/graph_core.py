@@ -2,9 +2,10 @@
 chromatic number, and clique-cover number, all with verifiable witnesses.
 
 A graph is one read-only boolean n x n adjacency matrix, checked once on
-construction; every reader slices or masks it (edges, complements, subgraphs,
-the coloring and clique-partition checks, the translate posets and the
-homothet rounds).  The exact solvers work on `rows`, one bitmask per member,
+construction; `build_graph` takes it from `pairwise_adjacency`, which tests
+only the member pairs within reach of an x-sorted sweep.  Every reader slices
+or masks the matrix (edges, complements, subgraphs, the coloring and
+clique-partition checks, the translate posets and the homothet rounds).  The exact solvers work on `rows`, one bitmask per member,
 packed from the matrix on first use.  The complement is built once and kept,
 so alpha/nu and theta share its packing and degree list.  One iterative DSATUR
 search gives both the greedy coloring and the exact chromatic number.

@@ -177,6 +177,25 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_malformed_claims_exit_4_before_the_graph_is_built(self, pentagon2, tmp_path,
+                                                               monkeypatch):
+        claim = tmp_path / "claim.json"
+        claim.write_text('{"omega": null}')
+        calls = []
+
+        def counted(family):
+            calls.append(len(family))
+            return build_graph(family)
+
+        monkeypatch.setattr(cli, "build_graph", counted)
+        assert run(["verify", "--in", str(pentagon2), "--expect", str(claim),
+                    "--out", str(tmp_path / "rep.json")]) == EXIT_INPUT
+        assert calls == []
+        claim.write_text('{"omega": 4}')
+        assert run(["verify", "--in", str(pentagon2), "--expect", str(claim),
+                    "--out", str(tmp_path / "rep.json")]) == EXIT_OK
+        assert calls == [10]
+
     def test_capped_exit(self, grid2, tmp_path):
         assert run(["verify", "--in", str(grid2), "--caps", "omega=100,chi=10",
                     "--out", str(tmp_path / "r.json")]) == EXIT_CAPPED

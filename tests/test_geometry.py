@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convex_chroma import geometry
 from convex_chroma.constructions import grid_family, pentagon_family, random_family
 from convex_chroma.families import Family, family_digest
 from convex_chroma.geometry import (
@@ -478,6 +481,142 @@ def reference_box_adjacency(body: ConvexBody, centers: np.ndarray, scales: np.nd
     return (gap <= TOL).all(axis=2)
 
 
+def dense_adjacency(body: ConvexBody, centers: np.ndarray, scales: np.ndarray,
+                    tol: float = TOL) -> np.ndarray:
+    """The dense kernels the sweep of `pairwise_adjacency` replaced, verbatim:
+    every ordered pair of n x n arrays, one mask per facet normal of C - C."""
+    shape = _shape(body)
+    if body.kind == "polygon2d":
+        normals, h_pos, h_neg = shape.table
+        dx = centers[None, :, 0] - centers[:, None, 0]
+        dy = centers[None, :, 1] - centers[:, None, 1]
+        adj = np.ones(dx.shape, dtype=bool)
+        for (ux, uy), hp, hm in zip(normals, h_pos, h_neg):
+            adj &= ux * dx + uy * dy <= (scales * hp + tol)[:, None] + (scales * hm)[None, :]
+    elif body.kind == "disk":
+        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+        adj = d <= scales[:, None] + scales[None, :] + tol
+    else:
+        sums = scales[:, None] + scales[None, :]
+        adj = np.ones(sums.shape, dtype=bool)
+        for a, h in enumerate(shape.half):
+            adj &= np.abs(centers[:, None, a] - centers[None, :, a]) - sums * h <= tol
+    np.fill_diagonal(adj, False)
+    return adj | adj.T
+
+
+THIN_QUADRILATERAL = ConvexBody.polygon([(0, 0), (3, 0.2), (3.1, 0.5), (0.2, 0.4)])
+# C's box lies far from the origin, so members of unequal scales meet with
+# centers much farther apart than any scale times C's width
+FAR_TRIANGLE = ConvexBody.polygon([(5, 5), (6, 5), (5, 6)])
+SWEEP_BODIES = {
+    "triangle": TRIANGLE, "regular-pentagon": REGULAR_PENTAGON,
+    "irregular-pentagon": IRREGULAR_PENTAGON, "thin-quadrilateral": THIN_QUADRILATERAL,
+    "far-triangle": FAR_TRIANGLE, "disk": ConvexBody.disk(), "box": ConvexBody.box((1.0, 2.0)),
+    "box-3d": ConvexBody.box((1.0, 0.5, 2.0)),
+}
+
+
+@st.composite
+def sweep_families(draw) -> tuple[ConvexBody, np.ndarray, np.ndarray]:
+    """A body with centers and scales: dyadic lattice centers and scales (exact
+    tangencies are common), uniform centers with unit or mixed scales, then
+    shifted and scaled, also beyond float resolution."""
+    body = SWEEP_BODIES[draw(st.sampled_from(sorted(SWEEP_BODIES)))]
+    n = draw(st.integers(min_value=0, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    side = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) * math.sqrt(max(n, 1))
+    size = (n, body.dimension)
+    layout = draw(st.sampled_from(["lattice", "unit", "mixed"]))
+    if layout == "lattice":
+        centers = rng.integers(0, int(4 * side) + 1, size=size) / 4.0
+        scales = rng.integers(1, 5, size=n) / 2.0
+    else:
+        centers = rng.uniform(0.0, side, size=size)
+        scales = rng.uniform(0.3, 2.0, size=n) if layout == "mixed" else np.ones(n)
+    shift = draw(st.sampled_from([0.0, 1e6, 1e8, 1e10, -1e12]))
+    factor = draw(st.sampled_from([1.0, 1e-9, 1e-8, 1e6]))
+    return body, centers * factor + shift, scales * factor
+
+
+class TestSweepMatchesDense:
+    """The sweep of `pairwise_adjacency` gives the dense kernels' matrix to
+    the bit, also where that matrix is itself wrong (beyond float resolution)."""
+
+    @settings(max_examples=300)
+    @given(sweep_families())
+    def test_random_families(self, case):
+        body, centers, scales = case
+        assert np.array_equal(pairwise_adjacency(body, centers, scales),
+                              dense_adjacency(body, centers, scales))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(SWEEP_BODIES))
+    def test_tiny_families(self, name, n):
+        body = SWEEP_BODIES[name]
+        centers = np.arange(n * body.dimension, dtype=float).reshape(n, body.dimension) / 2.0
+        scales = np.ones(n)
+        got = pairwise_adjacency(body, centers, scales)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, dense_adjacency(body, centers, scales))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(GRID_BODIES))
+    def test_tangent_grids(self, name, m):
+        family = grid_family(GRID_BODIES[name], m)
+        centers, scales = family.centers(), family.scales()
+        assert np.array_equal(pairwise_adjacency(family.body, centers, scales),
+                              dense_adjacency(family.body, centers, scales))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pentagon_families(self, k):
+        family = pentagon_family(k)
+        centers, scales = family.centers(), family.scales()
+        assert np.array_equal(pairwise_adjacency(family.body, centers, scales),
+                              dense_adjacency(family.body, centers, scales))
+
+    def test_far_apart_centers_of_unequal_scales_meet(self):
+        # 2C = triangle (10,10),(12,10),(10,12); 0.5C + (9, 7.5) has its
+        # corner (11.5, 10) inside it, though the centers are 9 apart along x
+        centers, scales = np.array([[0.0, 0.0], [9.0, 7.5]]), np.array([2.0, 0.5])
+        adj = pairwise_adjacency(FAR_TRIANGLE, centers, scales)
+        assert adj[0, 1] and adj[1, 0]
+        assert np.array_equal(adj, dense_adjacency(FAR_TRIANGLE, centers, scales))
+
+    def test_either_order_of_a_pair_decides(self):
+        # (0.5 + tol) + 1.5 and (1.5 + tol) + 0.5 round apart, so at this
+        # distance only the test of the order (1, 0) passes, while the sweep
+        # meets the pair as (0, 1)
+        tol = 4e-9
+        gap = (1.5 + tol) + 0.5
+        assert gap > (0.5 + tol) + 1.5
+        centers, scales = np.array([[0.0, 0.0], [gap, 0.0]]), np.array([1.0, 3.0])
+        adj = pairwise_adjacency(SQUARE_POLYGON, centers, scales, tol)
+        assert adj[0, 1]
+        assert np.array_equal(adj, dense_adjacency(SQUARE_POLYGON, centers, scales, tol))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunks_split_rows(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(2)
+        centers, scales = rng.uniform(0.0, 0.5, size=(100, 2)), rng.uniform(1.0, 2.0, size=100)
+        want = dense_adjacency(TRIANGLE, centers, scales)
+        assert want[~np.eye(100, dtype=bool)].all()
+        assert np.array_equal(pairwise_adjacency(TRIANGLE, centers, scales), want)
+
+    def test_overlapping_family_splits_a_row_between_chunks(self):
+        n = 800
+        rng = np.random.default_rng(3)
+        centers, scales = rng.uniform(0.0, 0.5, size=(n, 2)), np.ones(n)
+        # every later member is a candidate, so row k of the sweep holds
+        # n - 1 - k pairs; the first chunk ends inside one of those rows
+        done = np.cumsum(np.arange(n - 1, -1, -1))
+        assert geometry._PAIR_CHUNK < done[-1] and geometry._PAIR_CHUNK not in done
+        want = dense_adjacency(TRIANGLE, centers, scales)
+        assert want[~np.eye(n, dtype=bool)].all()
+        assert np.array_equal(pairwise_adjacency(TRIANGLE, centers, scales), want)
+
+
 MARGIN_BODIES = {
     "triangle": TRIANGLE, "irregular-pentagon": IRREGULAR_PENTAGON,
     "box-2d": ConvexBody.box((1.0, 2.0)), "box-3d": ConvexBody.box((1.0, 0.5, 2.0)),
@@ -529,8 +668,9 @@ class TestColumnKernels:
         ]
         for family in families:
             centers, scales = family.centers(), family.scales()
-            got = _shape(family.body).adjacency(centers, scales, TOL)
+            got = pairwise_adjacency(family.body, centers, scales)
             want = reference_box_adjacency(family.body, centers, scales)
+            np.fill_diagonal(want, False)  # every box meets itself; the graph has no loops
             assert want.any() and not want.all()
             assert np.array_equal(got, want)
 

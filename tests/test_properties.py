@@ -1,21 +1,24 @@
 """Property tests: the intersection graph is invariant under a common
 translation of all members, a uniform scaling of centers and scales, and a
-permutation of the members (up to relabelling).
+permutation of the members (up to relabelling); graphs survive DIMACS and
+families survive their JSON file format.
 
 Families come from `random_family`, which keeps every pair at least 0.05 away
 from tangency, so no transformation here moves a pair across the absolute
 tolerance of the intersection test.
 """
 
+import json
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from convex_chroma.constructions import random_family
-from convex_chroma.families import Family
+from convex_chroma.families import Family, dumps_family, family_digest
 from convex_chroma.geometry import ConvexBody, Placement
-from convex_chroma.graph_core import build_graph
-from conftest import graph_matrix
+from convex_chroma.graph_core import IntersectionGraph, build_graph, from_dimacs, to_dimacs
+from conftest import graph_matrix, random_graph
 
 BODIES = {
     "triangle": ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]),
@@ -63,3 +66,32 @@ def test_member_permutation_relabels_the_graph(family, data):
     again = moved(family, family.centers()[perm], family.scales()[perm])
     expected = graph_matrix(build_graph(family))[np.ix_(perm, perm)]
     assert np.array_equal(graph_matrix(build_graph(again)), expected)
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_dimacs_round_trip_keeps_the_matrix(n, seed, density):
+    graph = IntersectionGraph.from_matrix(random_graph(seed, n, density))
+    assert np.array_equal(from_dimacs(to_dimacs(graph)).matrix, graph.matrix)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def raw_families(draw) -> Family:
+    """Any valid family of the test bodies: centers and scales anywhere in
+    float range, meta of text and integers."""
+    body = BODIES[draw(st.sampled_from(sorted(BODIES)))]
+    placements = draw(st.lists(
+        st.builds(Placement, st.tuples(*[finite] * body.dimension), positive), max_size=20))
+    meta = draw(st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5),
+                                max_size=3))
+    return Family(body=body, placements=tuple(placements), meta=meta)
+
+
+@given(raw_families())
+def test_family_json_round_trip_keeps_the_digest(family):
+    again = Family.from_json(json.loads(dumps_family(family)))
+    assert family_digest(again) == family_digest(family)
