@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import ConvexBody, GeometryError, Placement
+from .reports import json_text, scalar_text
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,23 @@ def translates(body: ConvexBody, centers: Sequence[Sequence[float]], meta: dict 
 
 
 def dumps_family(family: Family) -> str:
-    return json.dumps(family.to_json(), sort_keys=True, indent=2) + "\n"
+    """The canonical text of `family.to_json()` (see reports.canonical_json).
+
+    "placements" sorts after "body" and "meta", so its text is spliced in
+    after theirs.  Every placement has the same lines, so the whole list is
+    one %-template over the flat center coordinates and scales: exact floats
+    through float.__repr__ (Placement admits only finite ones), anything
+    else, such as an int scale, through the writer's scalar_text.
+    """
+    head = json_text({"body": family.body.to_json(), "meta": dict(family.meta)})[:-2]
+    if not family.placements:
+        return head + ',\n  "placements": []\n}\n'
+    values = [v for p in family.placements for v in (*p.center, p.scale)]
+    texts = map(float.__repr__ if set(map(type, values)) == {float} else scalar_text, values)
+    coords = ",\n        ".join(["%s"] * family.body.dimension)
+    item = f'{{\n      "center": [\n        {coords}\n      ],\n      "scale": %s\n    }}'
+    body = ",\n    ".join([item] * len(family.placements)) % tuple(texts)
+    return f'{head},\n  "placements": [\n    {body}\n  ]\n}}\n'
 
 
 def save_family(family: Family, path) -> None:

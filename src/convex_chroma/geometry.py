@@ -354,14 +354,11 @@ class _Polygon(_Shape):
                            axis=2) / (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])[:, None]
         return np.stack([-corners.min(axis=1), corners.max(axis=1)], axis=1)
 
-    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 tol: float) -> np.ndarray:
+    def adjacent(self, d: np.ndarray, si: np.ndarray, sj: np.ndarray, tol: float) -> np.ndarray:
         """Whether (i, j) or (j, i) passes u.d <= (s_i*h_C(u) + tol) + s_j*h_C(-u)
         for every u of `table`, d = c_j - c_i; (j, i) negates u.d, exactly."""
         normals, h_pos, h_neg = (a[..., None] for a in self.table)  # a row per normal
-        proj = (normals[:, 0] * (centers[:, 0][j] - centers[:, 0][i])
-                + normals[:, 1] * (centers[:, 1][j] - centers[:, 1][i]))
-        si, sj = scales[i], scales[j]
+        proj = normals[:, 0] * d[0] + normals[:, 1] * d[1]
         return ((proj <= (si * h_pos + tol) + sj * h_neg).all(axis=0)
                 | (-proj <= (sj * h_pos + tol) + si * h_neg).all(axis=0))
 
@@ -543,12 +540,9 @@ class _Disk(_Shape):
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         return scales + scale - np.linalg.norm(delta, axis=1)
 
-    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 tol: float) -> np.ndarray:
-        """|c_i - c_j| <= (s_i + s_j) + tol, the same for (i, j) and (j, i)."""
-        dx = centers[:, 0][i] - centers[:, 0][j]
-        dy = centers[:, 1][i] - centers[:, 1][j]
-        return np.sqrt(dx * dx + dy * dy) <= (scales[i] + scales[j]) + tol
+    def adjacent(self, d: np.ndarray, si: np.ndarray, sj: np.ndarray, tol: float) -> np.ndarray:
+        """|d| <= (s_i + s_j) + tol, d = c_j - c_i: the same for (i, j) and (j, i)."""
+        return np.sqrt(d[0] * d[0] + d[1] * d[1]) <= (si + sj) + tol
 
     def parallelogram_fit(self) -> ParallelogramFit:
         return ParallelogramFit(center=(0.0, 0.0), u=(0.5, 0.5), v=(0.5, -0.5), ratio=math.sqrt(2.0))
@@ -620,11 +614,9 @@ class _Box(_Shape):
         half = (scales + scale)[:, None] * np.asarray(self.sides) / 2.0
         return (half - np.abs(delta)).min(axis=1)
 
-    def adjacent(self, centers: np.ndarray, scales: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 tol: float) -> np.ndarray:
-        """|x_i - x_j| - (s_i + s_j)*h <= tol on each axis, h the half side."""
-        gaps = np.abs(centers.T[:, i] - centers.T[:, j])  # a row per axis
-        return (gaps - (scales[i] + scales[j]) * self.half[:, None] <= tol).all(axis=0)
+    def adjacent(self, d: np.ndarray, si: np.ndarray, sj: np.ndarray, tol: float) -> np.ndarray:
+        """|x_j - x_i| - (s_i + s_j)*h <= tol on each axis x, h the half side."""
+        return (np.abs(d) - (si + sj) * self.half[:, None] <= tol).all(axis=0)
 
     def parallelogram_fit(self) -> ParallelogramFit:
         if self.dimension != 2:
@@ -832,24 +824,31 @@ def pairwise_adjacency(
         return adj
     (terms, size), s_min, s_max = shape.reach_terms, float(scales.min()), float(scales.max())
     t = max(tol, 0.0) + 1e-6 * (1.0 + float(np.abs(centers).max()) + s_max * size)
-    reach = [max(s_max * a + s_min * b + t * u for a, b, u in sides) for sides in terms]
+    reach = [max(s_max * a + s_min * b + t * u, s_max * c + s_min * d + t * v)
+             for (a, b, u), (c, d, v) in terms]  # of the two sides of each axis
     order = centers[:, 0].argsort()
-    cols, s = centers.T[:, order], scales[order]  # cols[a]: coordinate a, sorted members
+    cols, s = centers.T.take(order, axis=1), scales.take(order)  # cols[a]: axis a, by x
+    # flat.take(i + rows) gathers every axis at the members i in one take
+    flat, rows = cols.ravel(), np.arange(0, cols.size, n)[:, None]
     ends = cols[0].searchsorted(cols[0] + reach[0], side="right")
     runs = ends - np.arange(1, n + 1)  # row k's candidates are k+1 .. ends[k]-1
     done = runs.cumsum()
     total, shift = int(done[-1]), ends - done
-    for start in range(0, total, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, total)
-        first, last = done.searchsorted((start, stop - 1), side="right")
-        skip = start - int(done[first] - runs[first])  # of row `first`, in earlier chunks
-        i = np.arange(first, last + 1).repeat(runs[first:last + 1])[skip:skip + stop - start]
-        j = np.arange(start, stop) + shift[i]
+    # the chunk bounds: chunk c is pairs edges[c] .. edges[c+1]-1, which lie
+    # in rows heads[c] .. heads[c+1] (heads[-1] = n); row k's pairs begin at
+    # pair begun[k]
+    edges = [*range(0, total, _PAIR_CHUNK), total]
+    heads, begun = done.searchsorted(edges, side="right").tolist(), (done - runs).tolist()
+    for start, stop, lo, hi in zip(edges, edges[1:], heads, heads[1:]):
+        hi = min(hi + 1, n)
+        i = np.arange(lo, hi).repeat(runs[lo:hi])[start - begun[lo]:stop - begun[lo]]
+        j = np.arange(start, stop) + shift.take(i)
         for col, r in zip(cols[1:], reach[1:]):
-            near = np.abs(col[i] - col[j]) <= r
-            i, j = i[near], j[near]
-        hit = shape.adjacent(cols.T, s, i, j, tol)
-        i, j = order[i[hit]], order[j[hit]]
+            near = (np.abs(col.take(j) - col.take(i)) <= r).nonzero()[0]
+            i, j = i.take(near), j.take(near)
+        d = flat.take(j + rows) - flat.take(i + rows)  # c_j - c_i, a column per pair
+        hit = shape.adjacent(d, s.take(i), s.take(j), tol).nonzero()[0]
+        i, j = order.take(i.take(hit)), order.take(j.take(hit))
         adj[i, j] = adj[j, i] = True
     return adj
 

@@ -1,17 +1,105 @@
-"""Report dataclasses shared by the coloring/partition algorithms and the CLI.
+"""Report dataclasses shared by the coloring/partition algorithms and the CLI,
+and the canonical JSON writer that reports and family files share.
 
-Reports serialize to canonical JSON (sorted keys, None fields dropped) so that
+Canonical JSON is, byte for byte, the stdlib's `json.dumps(obj,
+sort_keys=True, indent=2)` plus a newline; the stdlib is the tests'
+reference, but with `indent` set it runs a pure-Python encoder, so the text
+is written here in one walk.  Reports drop their None fields first, so
 identical inputs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_INF = float("inf")
 
 
-def canonical_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def scalar_text(value) -> str:
+    """The stdlib encoder's text of one JSON scalar; TypeError for any other
+    value, as the stdlib raises (np.int64 and set included)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{scalar_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _items_text(items, indent: str) -> str:
+    """A JSON array's item texts, joined by a comma and a newline plus
+    `indent`.  An all-int or all-finite-float sequence (exact types, so
+    never bool) is one join; any other is written once per distinct object
+    in it."""
+    sep = ",\n" + indent
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return sep.join(map(int.__repr__, items))
+    if kinds == {float}:
+        text = sep.join(map(float.__repr__, items))
+        if "n" not in text:  # float repr spells NaN and inf with an n
+            return text
+    return sep.join(_once(json_text, items, indent))
+
+
+def _once(convert, items, *args):
+    """convert(item, *args) for each item, called once per distinct object:
+    items repeat one object (a member's block label) far more often than
+    they hold distinct ones, and one object always converts alike."""
+    done = {key: convert(v, *args) for key, v in dict(zip(map(id, items), items)).items()}
+    return map(done.__getitem__, map(id, items))
+
+
+def json_text(value, indent: str = "") -> str:
+    """`value` as the stdlib's `sort_keys=True, indent=2` text, its nested
+    lines indented by `indent` plus two spaces per level."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return f"[\n{inner}{_items_text(value, inner)}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        body = sep.join([f"{_key_text(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return scalar_text(value)
+
+
+def canonical_json(obj) -> str:
+    """Exactly the text of `json.dumps(obj, sort_keys=True, indent=2)` and a
+    newline, TypeError where it raises one; written in one recursive walk
+    instead of the stdlib's pure-Python indent encoder."""
+    return json_text(obj) + "\n"
 
 
 def _strip_none(value):
@@ -22,7 +110,9 @@ def _strip_none(value):
     if isinstance(value, dict):
         return {k: _strip_none(v) for k, v in value.items() if v is not None}
     if isinstance(value, (list, tuple)):
-        return [_strip_none(v) for v in value]
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            return list(value)
+        return list(_once(_strip_none, value))
     return value
 
 

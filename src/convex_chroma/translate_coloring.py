@@ -91,9 +91,9 @@ class Decomposition:
     def classes(self) -> dict[tuple[tuple[int, ...], int], list[int]]:
         """Members grouped by (full line key, cell residue), sorted keys."""
         out: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        for i in range(len(self.cells)):
-            key = (tuple(int(v) for v in self.line_keys[i]), int(self.cell_residues[i]))
-            out.setdefault(key, []).append(i)
+        rows = zip(self.line_keys.tolist(), self.cell_residues.tolist())
+        for i, (line, residue) in enumerate(rows):
+            out.setdefault((tuple(line), residue), []).append(i)
         return dict(sorted(out.items()))
 
     def block_of(self, class_key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
@@ -206,8 +206,9 @@ def build_poset(members: list[int], nf: NormalizedFamily,
 
 def _successors(relation: np.ndarray) -> list[list[int]]:
     """Each row's True columns in ascending order, read from one np.nonzero."""
-    cols = np.nonzero(relation)[1]
-    return [c.tolist() for c in np.split(cols, np.cumsum(relation.sum(axis=1)))[:-1]]
+    cols = np.nonzero(relation)[1].tolist()
+    ends = relation.sum(axis=1).cumsum().tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def chain_partition(poset: PosetClass) -> list[list[int]]:

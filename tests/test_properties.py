@@ -1,23 +1,27 @@
 """Property tests: the intersection graph is invariant under a common
 translation of all members, a uniform scaling of centers and scales, and a
 permutation of the members (up to relabelling); graphs survive DIMACS and
-families survive their JSON file format.
+families survive their JSON file format; the canonical JSON writer gives the
+stdlib's `json.dumps(obj, sort_keys=True, indent=2)` text byte for byte.
 
 Families come from `random_family`, which keeps every pair at least 0.05 away
 from tangency, so no transformation here moves a pair across the absolute
 tolerance of the intersection test.
 """
 
+import hashlib
 import json
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from convex_chroma.constructions import random_family
 from convex_chroma.families import Family, dumps_family, family_digest
 from convex_chroma.geometry import ConvexBody, Placement
 from convex_chroma.graph_core import IntersectionGraph, build_graph, from_dimacs, to_dimacs
+from convex_chroma.reports import canonical_json
 from conftest import graph_matrix, random_graph
 
 BODIES = {
@@ -79,15 +83,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
 
+meta_values = (st.none() | st.integers() | st.floats() | st.text(max_size=5)
+               | st.lists(st.integers() | st.floats(), max_size=3))
+
+
 @st.composite
-def raw_families(draw) -> Family:
-    """Any valid family of the test bodies: centers and scales anywhere in
-    float range, meta of text and integers."""
+def raw_families(draw, scales=positive) -> Family:
+    """Any valid family of the test bodies: centers anywhere in float range,
+    scales drawn from `scales`, meta of null, numbers, text and lists."""
     body = BODIES[draw(st.sampled_from(sorted(BODIES)))]
     placements = draw(st.lists(
-        st.builds(Placement, st.tuples(*[finite] * body.dimension), positive), max_size=20))
-    meta = draw(st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5),
-                                max_size=3))
+        st.builds(Placement, st.tuples(*[finite] * body.dimension), scales), max_size=20))
+    meta = draw(st.dictionaries(st.text(max_size=5), meta_values, max_size=3))
     return Family(body=body, placements=tuple(placements), meta=meta)
 
 
@@ -95,3 +102,50 @@ def raw_families(draw) -> Family:
 def test_family_json_round_trip_keeps_the_digest(family):
     again = Family.from_json(json.loads(dumps_family(family)))
     assert family_digest(again) == family_digest(family)
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@given(raw_families(positive | st.integers(min_value=1, max_value=10**6)))
+@example(Family(body=BODIES["box3"], placements=(), meta={"n": None}))
+@example(Family(body=BODIES["disk"], placements=(Placement((0.0, -0.0), 2),), meta={}))
+def test_family_text_is_the_stdlib_text(family):
+    text = dumps_family(family)
+    assert text == stdlib_json(family.to_json())
+    assert family_digest(family) == hashlib.sha256(text.encode()).hexdigest()
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2**200, max_value=2**200)
+                | st.floats() | st.floats().map(np.float64) | st.text())
+
+
+def json_containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.lists(st.integers() | st.booleans(), max_size=6)
+            | st.lists(st.floats(), max_size=6)
+            | st.dictionaries(st.text(), children, max_size=4)
+            | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=4)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+@given(st.recursive(json_scalars, json_containers, max_leaves=30))
+@example({"b": [1, True, 2, False], "a": [0.5, float("nan"), -0.0, float("-inf")],
+          "\u00e9\x01": {2: [], 10: {}, 1.5: (), True: "\x00\u2028"}, "n": {None: 0}})
+def test_canonical_json_is_the_stdlib_text(value):
+    assert canonical_json(value) == stdlib_json(value)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), object()], ids=["set", "int64", "object"])
+def test_canonical_json_rejects_what_the_stdlib_rejects(bad):
+    values = [bad, [1, bad], [bad, bad], {"a": {"b": bad}}]
+    if bad.__hash__:
+        values.append({"a": {bad: 1}})
+    for value in values:
+        with pytest.raises(TypeError) as want:
+            stdlib_json(value)
+        with pytest.raises(TypeError) as got:
+            canonical_json(value)
+        assert str(got.value) == str(want.value)
