@@ -267,9 +267,10 @@ class _Shape:
         """A point of C, pierced by the fallback of the clique partition."""
         return np.zeros(self.dimension)
 
-    def corners(self, center: np.ndarray, scale: float) -> list[np.ndarray]:
-        """Piercing candidates tried before the certificate's points."""
-        return []
+    def corners(self, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """Piercing candidates tried before the certificate's points, c per
+        member scales[r]*C + centers[r] (shape (m, c, d); none here)."""
+        return np.empty((len(centers), 0, self.dimension))
 
     def normalizing_map(self, body: ConvexBody, scale: float) -> tuple[np.ndarray, float]:
         """The linear map taking the fitted parallelogram of scale*C to the
@@ -338,6 +339,20 @@ class _Polygon(_Shape):
             return _fold_min(s - column for s, column in zip(shifted, columns))
 
         return margins
+
+    def contains(self, centers: np.ndarray, scales: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Whether scales[i]*C + centers[i] holds each of its own points pts[i]
+        (shape (m, k, d)): `point_margins(scales[i], pts[i])(centers[i]) >= -TOL`
+        for every member at once, as an (m, k) bool array.
+
+        The projections are one matrix product each, not one `normals @ v`
+        per member, so a margin may differ from point_margins' in the last
+        bit; a decision can differ only for a point within rounding of -TOL."""
+        normals, offsets = self.facets
+        m, k, d = pts.shape
+        shifted = scales[:, None] * offsets + centers @ normals.T
+        projected = (pts.reshape(m * k, d) @ normals.T).reshape(m, k, -1)
+        return (shifted[:, None, :] - projected).min(axis=2) >= -TOL
 
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         normals, h_pos, h_neg = self.table
@@ -537,6 +552,13 @@ class _Disk(_Shape):
 
         return margins
 
+    def contains(self, centers: np.ndarray, scales: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """`point_margins(scales[i], pts[i])(centers[i]) >= -TOL` for every
+        member i at once (pts of shape (m, k, 2)), with the same arithmetic."""
+        dx = pts[:, :, 0] - centers[:, 0, None]
+        dy = pts[:, :, 1] - centers[:, 1, None]
+        return scales[:, None] - np.sqrt(dx * dx + dy * dy) >= -TOL
+
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         return scales + scale - np.linalg.norm(delta, axis=1)
 
@@ -610,6 +632,12 @@ class _Box(_Shape):
         columns = np.ascontiguousarray(pts.T)
         return lambda v: _fold_min(h - np.abs(column - x) for h, column, x in zip(half, columns, v))
 
+    def contains(self, centers: np.ndarray, scales: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """`point_margins(scales[i], pts[i])(centers[i]) >= -TOL` for every
+        member i at once (pts of shape (m, k, d)), with the same arithmetic."""
+        half = scales[:, None] * np.asarray(self.sides) / 2.0
+        return (half[:, None, :] - np.abs(pts - centers[:, None, :])).min(axis=2) >= -TOL
+
     def homothet_margins(self, delta: np.ndarray, scales: np.ndarray, scale: float) -> np.ndarray:
         half = (scales + scale)[:, None] * np.asarray(self.sides) / 2.0
         return (half - np.abs(delta)).min(axis=1)
@@ -660,13 +688,13 @@ class _Box(_Shape):
             raise GeometryError("box translate coloring supports dimension <= 6")
         return np.diag(1.0 / (scale * np.asarray(self.sides))), 1.0
 
-    def corners(self, center: np.ndarray, scale: float) -> list[np.ndarray]:
-        half = scale * np.asarray(self.sides) / 2.0
+    def corners(self, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """The 2^n corners of each member, axis d's sign + at bit d of the corner's index."""
+        half = scales[:, None] * np.asarray(self.sides) / 2.0
         n = self.dimension
-        return [
-            center + np.array([1.0 if (mask >> d) & 1 else -1.0 for d in range(n)]) * half
-            for mask in range(1 << n)
-        ]
+        signs = np.array([[1.0 if (mask >> d) & 1 else -1.0 for d in range(n)]
+                          for mask in range(1 << n)])
+        return centers[:, None, :] + signs * half[:, None, :]
 
     def clipped_measure(self, center: np.ndarray, scale: float,
                         lo: np.ndarray, hi: np.ndarray) -> float:

@@ -7,9 +7,13 @@ kappa*(omega-1)+1 colors.  Clique partitions run greedy rounds: take the
 smallest remaining homothet, pierce everything intersecting it with candidate
 points scaled from a covering certificate, and remove the round.
 
-The candidate points p1 + lam1*v_i are verified at runtime (every member must
-contain its assigned point); a greedy point-stabbing fallback keeps the
-partition valid if verification ever fails, and the report says so.
+The rounds depend only on the size order and the intersection graph, so they
+are planned first; then the candidate points p1 + lam1*v_i of every round are
+built as one array and every member is tested against its own round's points
+in one call of the shape's `contains` kernel.  Containment is verified at
+runtime (every member must contain its assigned point); members holding no
+candidate go through a greedy point-stabbing fallback, round by round, which
+keeps the partition valid, and the report says so.
 
 Corollary 1 (translates of C) is this route on the translates of K = (C-C)/2
 at the same centers, which have the same intersection graph, with kappa(2K, K)
@@ -24,15 +28,14 @@ import numpy as np
 
 from .covering import DEFAULT_SAMPLES, CoveringCertificate, difference_certificate
 from .families import Family
-from .geometry import TOL, ConsistencyError, ConvexBody, GeometryError, _shape, symmetrize
+from .geometry import ConsistencyError, ConvexBody, GeometryError, _shape, symmetrize
 from .graph_core import IntersectionGraph, build_graph
 from .reports import ColoringReport, PartitionReport
 
 
 def size_order(family: Family) -> tuple[int, ...]:
     """Member indices sorted by scale ascending, ties by index."""
-    scales = family.scales()
-    return tuple(sorted(range(len(family)), key=lambda i: (scales[i], i)))
+    return tuple(np.argsort(family.scales(), kind="stable").tolist())
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,62 @@ class PiercingAssignment:
     fallback_used: bool
 
     def classes(self) -> list[list[int]]:
-        used = sorted(set(self.assignment))
-        groups = {p: [] for p in used}
-        for member, p in zip(self.members, self.assignment):
-            groups[p].append(member)
-        return [groups[p] for p in used]
+        return _point_classes(self.members, self.assignment)
 
 
-def _member_contains(body: ConvexBody, center: np.ndarray, scale: float, pts: np.ndarray) -> np.ndarray:
-    return _shape(body).point_margins(scale, pts)(center) >= -TOL
+def _point_classes(members, assignment) -> list[list[int]]:
+    """The members grouped by the point they hold, in point order."""
+    groups: dict[int, list[int]] = {}
+    for member, p in zip(members, assignment):
+        groups.setdefault(p, []).append(member)
+    return [groups[p] for p in sorted(groups)]
+
+
+def _pierce_rounds(
+    family: Family, cert: CoveringCertificate, reps: list[int], subs: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[list[tuple[float, ...]]]]:
+    """Pierce each round's subfamily subs[r] (ascending, holding its smallest
+    member reps[r]) with the candidate points of reps[r].
+
+    The candidates of lam1*C + p1 are its shape's corners, then p1 + lam1*v
+    for each certificate translation v; every member of every round is tested
+    against its own round's candidates in one `contains` call, and takes the
+    first it holds.  A member holding none goes to the greedy point-stabbing
+    fallback of its round, which pierces the smallest unassigned member at its
+    own seed point each step (a member that does not hold that point is a
+    fault and raises ConsistencyError).  Returns the candidates (rounds, k, d),
+    each round's point index per member (fallback points numbered from k on)
+    and each round's fallback points.
+    """
+    shape = _shape(family.body)
+    centers, scales = family.centers(), family.scales()
+    p1, lam1 = centers[reps], scales[reps]
+    translations = np.asarray(cert.translations, dtype=float).reshape(-1, shape.dimension)
+    cand = np.concatenate(
+        [shape.corners(p1, lam1), p1[:, None, :] + lam1[:, None, None] * translations], axis=1)
+    members = np.concatenate(subs)
+    sizes = [len(sub) for sub in subs]
+    inside = shape.contains(centers[members], scales[members],
+                            cand[np.repeat(np.arange(len(subs)), sizes)])
+    hits = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    round_hits = np.split(hits, np.cumsum(sizes)[:-1])
+    extras: list[list[tuple[float, ...]]] = [[] for _ in subs]
+    seed_point = shape.seed_point()
+    for sub, hit, extra in zip(subs, round_hits, extras):
+        open_slots = np.flatnonzero(hit < 0)
+        while len(open_slots):
+            unassigned = sub[open_slots]
+            # ascending indices, so the first minimum is the least (scale, index)
+            m = int(unassigned[np.argmin(scales[unassigned])])
+            q = centers[m] + scales[m] * seed_point
+            held = shape.contains(centers[unassigned], scales[unassigned],
+                                  np.broadcast_to(q, (len(unassigned), 1, len(q))))[:, 0]
+            hit[open_slots[held]] = cand.shape[1] + len(extra)
+            extra.append(tuple(q.tolist()))
+            if not held[unassigned == m][0]:
+                raise ConsistencyError(f"member {m} does not contain its own seed point")
+            open_slots = open_slots[~held]
+    return cand, round_hits, extras
 
 
 def pierce_intersecting_smallest(
@@ -61,56 +111,23 @@ def pierce_intersecting_smallest(
 ) -> PiercingAssignment:
     """Pierce the subfamily of everything intersecting its smallest member.
 
-    Candidate points are p1 + lam1*v_i from the certificate translations (box
-    bodies try the 2^n corners of the smallest member first, which provably
-    pierce same-or-larger intersecting boxes).  Containment is verified for
-    every assignment; members containing no candidate trigger the greedy
-    point-stabbing fallback, which pierces the smallest unassigned member at
-    its own interior point each step (a member that does not contain that
-    point is a fault and raises ConsistencyError).
+    One round of `_pierce_rounds`: candidate points are p1 + lam1*v_i from the
+    certificate translations (box bodies try the 2^n corners of the smallest
+    member first, which provably pierce same-or-larger intersecting boxes).
+    Containment is verified for every assignment; members containing no
+    candidate trigger the greedy point-stabbing fallback.
     """
     if not members:
         raise ValueError("pierce_intersecting_smallest needs a non-empty subfamily")
-    body = family.body
     scales = family.scales()
-    centers = family.centers()
     smallest = min(members, key=lambda i: (scales[i], i))
-    p1 = centers[smallest]
-    lam1 = scales[smallest]
-
-    candidates = _shape(body).corners(p1, lam1)
-    candidates.extend(p1 + lam1 * np.asarray(v) for v in cert.translations)
-
-    cand = np.array(candidates)
-    assignment: dict[int, int] = {}
-    for i in sorted(members):
-        inside = _member_contains(body, centers[i], scales[i], cand)
-        hit = int(np.argmax(inside)) if inside.any() else -1
-        if hit >= 0:
-            assignment[i] = hit
-    fallback_used = len(assignment) < len(members)
-    points = [tuple(float(x) for x in c) for c in candidates]
-    if fallback_used:
-        seed_point = _shape(body).seed_point()
-        unassigned = [i for i in sorted(members) if i not in assignment]
-        while unassigned:
-            m = min(unassigned, key=lambda i: (scales[i], i))
-            q = centers[m] + scales[m] * seed_point
-            points.append(tuple(float(x) for x in q))
-            idx = len(points) - 1
-            for i in list(unassigned):
-                if _member_contains(body, centers[i], scales[i], q[None, :])[0]:
-                    assignment[i] = idx
-                    unassigned.remove(i)
-            if m not in assignment:
-                raise ConsistencyError(f"member {m} does not contain its own seed point")
-
     member_tuple = tuple(sorted(members))
+    cand, (hit,), (extra,) = _pierce_rounds(family, cert, [smallest], [np.array(member_tuple)])
     return PiercingAssignment(
         members=member_tuple,
-        points=tuple(points),
-        assignment=tuple(assignment[i] for i in member_tuple),
-        fallback_used=fallback_used,
+        points=tuple(map(tuple, cand[0].tolist())) + tuple(extra),
+        assignment=tuple(hit.tolist()),
+        fallback_used=bool(extra),
     )
 
 
@@ -126,10 +143,17 @@ def color_homothets(
     """
     g = graph if graph is not None else build_graph(family)
     order = list(reversed(size_order(family)))
+    # every neighbour list, ascending, from one nonzero of the flat matrix;
+    # row v's entries are those in [v*n, (v+1)*n)
+    n = len(family)
+    flat = np.flatnonzero(g.matrix)
+    cols = (flat % n).tolist()
+    ends = np.searchsorted(flat, n * np.arange(1, n + 1)).tolist()
+    starts = [0, *ends]
     colors = [-1] * len(family)
     back_degree_max = 0
     for v in order:
-        colored = [u for u in np.flatnonzero(g.matrix[v]).tolist() if colors[u] != -1]
+        colored = [u for u in cols[starts[v]:ends[v]] if colors[u] != -1]
         back_degree_max = max(back_degree_max, len(colored))
         used = {colors[u] for u in colored}
         c = 0
@@ -164,7 +188,7 @@ def _merge_clique_classes(g: IntersectionGraph, classes: list[list[int]]) -> lis
     merged: list[list[int]] = []
     for cls in sorted(classes, key=lambda c: min(c)):
         for target in merged:
-            if g.matrix[np.ix_(cls, target)].all():
+            if g.matrix[cls][:, target].all():
                 target.extend(cls)
                 break
         else:
@@ -183,31 +207,39 @@ def clique_partition_homothets(
     """
     g = graph if graph is not None else build_graph(family)
     n = len(family)
-    order = iter(size_order(family))
-    remaining = set(range(n))
+    # the rounds depend on the size order and the graph alone: each takes the
+    # smallest remaining member and every remaining member meeting it
+    remaining = np.ones(n, dtype=bool)
+    representatives: list[int] = []
+    subs: list[np.ndarray] = []
+    for rep in size_order(family):
+        if remaining[rep]:
+            meets = g.matrix[rep] & remaining
+            meets[rep] = True
+            sub = np.flatnonzero(meets)
+            remaining[sub] = False
+            representatives.append(rep)
+            subs.append(sub)
+    rounds = len(subs)
+
     assign = [0] * n
     piercing_points: list[tuple[float, ...]] = []
-    representatives: list[int] = []
     fallback_any = False
-    rounds = 0
     last_round_classes = 0
     next_class = 0
-    while remaining:
-        rep = next(i for i in order if i in remaining)
-        sub = sorted(remaining.intersection(np.flatnonzero(g.matrix[rep]).tolist()) | {rep})
-        piercing = pierce_intersecting_smallest(family, sub, cert)
-        fallback_any = fallback_any or piercing.fallback_used
-        used_points = sorted(set(piercing.assignment))
-        piercing_points.extend(piercing.points[p] for p in used_points)
-        classes = _merge_clique_classes(g, piercing.classes())
-        for cls in classes:
-            for member in cls:
-                assign[member] = next_class
-            next_class += 1
-        last_round_classes = len(classes)
-        representatives.append(rep)
-        remaining -= set(sub)
-        rounds += 1
+    if rounds:
+        cand, round_hits, extras = _pierce_rounds(family, cert, representatives, subs)
+        fallback_any = any(extras)
+        for points, hit, extra, sub in zip(cand.tolist(), round_hits, extras, subs):
+            points.extend(extra)
+            hit = hit.tolist()
+            piercing_points.extend(tuple(points[p]) for p in sorted(set(hit)))
+            classes = _merge_clique_classes(g, _point_classes(sub.tolist(), hit))
+            for cls in classes:
+                for member in cls:
+                    assign[member] = next_class
+                next_class += 1
+            last_round_classes = len(classes)
 
     if g.matrix[np.ix_(representatives, representatives)].any():
         raise ConsistencyError("greedy round representatives must be pairwise disjoint")

@@ -677,6 +677,46 @@ class TestColumnKernels:
 
 # family_digest of random_family(body, 40, (0, 6), scale_range, seed) as
 # generated by the per-pair pair_margin loop the one-call check replaced
+CONTAINS_BODIES = {
+    "square": ConvexBody.unit_square(), "disk": ConvexBody.disk(), "triangle": TRIANGLE,
+    "thin-quadrilateral": THIN_QUADRILATERAL, "regular-pentagon": REGULAR_PENTAGON,
+    "box-3d": ConvexBody.box((1.0, 0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINS_BODIES))
+def test_contains_matches_point_margins_member_by_member(name):
+    """`contains` tests each member against its own points at once and must
+    give `point_margins(scale, pts)(center) >= -TOL` for each.  The box and
+    the disk use the same arithmetic, so every entry must agree; a polygon's
+    projections are matrix products whose last bit may differ, so entries
+    whose margin lies within 1e-12 of -TOL are left out there."""
+    body = CONTAINS_BODIES[name]
+    shape = _shape(body)
+    dim = body.dimension
+    rng = np.random.default_rng(11)
+    m = 300
+    centers = rng.uniform(-50.0, 50.0, size=(m, dim))
+    scales = rng.uniform(0.3, 2.0, size=m)
+    # boundary points of each member pushed in and out, some by about TOL,
+    # and points scattered around it
+    boundary = shape.boundary_points(1.0, 8)
+    stretch = np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-10, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-3, 1.5])
+    pts = np.concatenate([
+        centers[:, None, :] + scales[:, None, None] * stretch[None, :, None] * boundary[None],
+        centers[:, None, :] + rng.uniform(-3.0, 3.0, size=(m, 8, dim)),
+    ], axis=1)
+    got = shape.contains(centers, scales, pts)
+    margins = np.array([shape.point_margins(s, p)(c) for c, s, p in zip(centers, scales, pts)])
+    compared = np.ones(got.shape, dtype=bool)
+    if body.kind == "polygon2d":
+        compared = np.abs(margins + TOL) > 1e-12
+    assert got.shape == (m, 16)
+    assert compared.mean() > 0.95
+    assert np.array_equal(got[compared], (margins >= -TOL)[compared])
+    assert got.any() and not got.all()
+
+
 RANDOM_FAMILY_DIGESTS = {
     ("triangle", 0): "01e7838d3917d20812c2fd548969abb8859772b9ce89ee87e815b60e73c35d65",
     ("triangle", 1): "00ef5b813cc3a168242086d379c3174dc2d7a3006266315702987465270aeb45",

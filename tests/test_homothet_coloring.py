@@ -1,16 +1,26 @@
+import math
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convex_chroma import homothet_coloring
-from convex_chroma.constructions import random_family
-from convex_chroma.covering import BOUNDARY_SAMPLES, CoveringCertificate, known_certificate
+from convex_chroma.constructions import grid_family, pentagon_family, random_family
+from convex_chroma.covering import (
+    BOUNDARY_SAMPLES,
+    CoveringCertificate,
+    difference_certificate,
+    known_certificate,
+)
 from convex_chroma.families import Family, translates
 from convex_chroma.geometry import (
+    TOL,
     ConvexBody,
     GeometryError,
     Placement,
+    _shape,
     homothets_intersect,
     symmetrize,
 )
@@ -24,6 +34,7 @@ from convex_chroma.graph_core import (
     verify_coloring,
 )
 from convex_chroma.homothet_coloring import (
+    PiercingAssignment,
     clique_partition_homothets,
     color_homothets,
     pierce_intersecting_smallest,
@@ -31,6 +42,7 @@ from convex_chroma.homothet_coloring import (
     symmetrized_certificate,
     symmetrized_family,
 )
+from convex_chroma.reports import PartitionReport
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +160,8 @@ class TestPiercing:
 
 def far_certificate(body: ConvexBody) -> CoveringCertificate:
     """A certificate whose one translation pierces no member near the origin."""
-    return CoveringCertificate(target=body, unit=body, translations=((1e3, 1e3),), kappa_ub=1)
+    return CoveringCertificate(target=body, unit=body, translations=((1e3,) * body.dimension,),
+                               kappa_ub=1)
 
 
 class TestPiercingFallback:
@@ -170,13 +183,13 @@ class TestPiercingFallback:
     def test_member_missing_its_seed_point_raises(self, triangle, monkeypatch):
         calls = 0
 
-        def rejects_everything(body, center, scale, pts):
+        def rejects_everything(self, centers, scales, pts):
             nonlocal calls
             calls += 1
             assert calls < 1000, "the fallback loop makes no progress"
-            return np.zeros(len(pts), dtype=bool)
+            return np.zeros(pts.shape[:2], dtype=bool)
 
-        monkeypatch.setattr(homothet_coloring, "_member_contains", rejects_everything)
+        monkeypatch.setattr(type(_shape(triangle)), "contains", rejects_everything)
         fam = translates(triangle, [(0, 0), (0.2, 0.1), (0.1, 0.3)])
         t0 = time.perf_counter()
         with pytest.raises(ConsistencyError):
@@ -272,3 +285,253 @@ class TestSymmetrizedPath:
         a = color_homothets(*symmetrized_family(fam), omega=3)
         b = color_homothets(*symmetrized_family(fam), omega=3)
         assert a == b
+
+
+# The per-member piercing rounds that `_pierce_rounds` replaced, verbatim:
+# one `point_margins` closure per member of each round, one round at a time.
+
+def reference_size_order(family: Family) -> tuple[int, ...]:
+    scales = family.scales()
+    return tuple(sorted(range(len(family)), key=lambda i: (scales[i], i)))
+
+
+def reference_corners(body, center, scale) -> list[np.ndarray]:
+    if body.kind != "box":
+        return []
+    half = scale * np.asarray(body.sides) / 2.0
+    n = len(body.sides)
+    return [
+        center + np.array([1.0 if (mask >> d) & 1 else -1.0 for d in range(n)]) * half
+        for mask in range(1 << n)
+    ]
+
+
+def reference_member_contains(body, center, scale, pts) -> np.ndarray:
+    return _shape(body).point_margins(scale, pts)(center) >= -TOL
+
+
+def reference_pierce_intersecting_smallest(family, members, cert) -> PiercingAssignment:
+    if not members:
+        raise ValueError("pierce_intersecting_smallest needs a non-empty subfamily")
+    body = family.body
+    scales = family.scales()
+    centers = family.centers()
+    smallest = min(members, key=lambda i: (scales[i], i))
+    p1 = centers[smallest]
+    lam1 = scales[smallest]
+
+    candidates = reference_corners(body, p1, lam1)
+    candidates.extend(p1 + lam1 * np.asarray(v) for v in cert.translations)
+
+    cand = np.array(candidates)
+    assignment: dict[int, int] = {}
+    for i in sorted(members):
+        inside = reference_member_contains(body, centers[i], scales[i], cand)
+        hit = int(np.argmax(inside)) if inside.any() else -1
+        if hit >= 0:
+            assignment[i] = hit
+    fallback_used = len(assignment) < len(members)
+    points = [tuple(float(x) for x in c) for c in candidates]
+    if fallback_used:
+        seed_point = _shape(body).seed_point()
+        unassigned = [i for i in sorted(members) if i not in assignment]
+        while unassigned:
+            m = min(unassigned, key=lambda i: (scales[i], i))
+            q = centers[m] + scales[m] * seed_point
+            points.append(tuple(float(x) for x in q))
+            idx = len(points) - 1
+            for i in list(unassigned):
+                if reference_member_contains(body, centers[i], scales[i], q[None, :])[0]:
+                    assignment[i] = idx
+                    unassigned.remove(i)
+            if m not in assignment:
+                raise ConsistencyError(f"member {m} does not contain its own seed point")
+
+    member_tuple = tuple(sorted(members))
+    return PiercingAssignment(
+        members=member_tuple,
+        points=tuple(points),
+        assignment=tuple(assignment[i] for i in member_tuple),
+        fallback_used=fallback_used,
+    )
+
+
+def reference_merge_clique_classes(g, classes):
+    merged = []
+    for cls in sorted(classes, key=lambda c: min(c)):
+        for target in merged:
+            if g.matrix[np.ix_(cls, target)].all():
+                target.extend(cls)
+                break
+        else:
+            merged.append(sorted(cls))
+    return merged
+
+
+def reference_clique_partition_homothets(family, cert, nu=None, graph=None) -> PartitionReport:
+    g = graph if graph is not None else build_graph(family)
+    n = len(family)
+    order = iter(reference_size_order(family))
+    remaining = set(range(n))
+    assign = [0] * n
+    piercing_points = []
+    representatives = []
+    fallback_any = False
+    rounds = 0
+    last_round_classes = 0
+    next_class = 0
+    while remaining:
+        rep = next(i for i in order if i in remaining)
+        sub = sorted(remaining.intersection(np.flatnonzero(g.matrix[rep]).tolist()) | {rep})
+        piercing = reference_pierce_intersecting_smallest(family, sub, cert)
+        fallback_any = fallback_any or piercing.fallback_used
+        used_points = sorted(set(piercing.assignment))
+        piercing_points.extend(piercing.points[p] for p in used_points)
+        classes = reference_merge_clique_classes(g, piercing.classes())
+        for cls in classes:
+            for member in cls:
+                assign[member] = next_class
+            next_class += 1
+        last_round_classes = len(classes)
+        representatives.append(rep)
+        remaining -= set(sub)
+        rounds += 1
+
+    if g.matrix[np.ix_(representatives, representatives)].any():
+        raise ConsistencyError("greedy round representatives must be pairwise disjoint")
+
+    if nu is not None:
+        bound = cert.kappa_ub * (nu - 1) + 1 if n else 0
+        basis = "kappa*(nu-1)+1"
+    else:
+        bound = cert.kappa_ub * max(rounds - 1, 0) + last_round_classes
+        basis = "kappa*(rounds-1)+last"
+    return PartitionReport(
+        method="theorem2",
+        classes_assign=tuple(assign),
+        classes_used=next_class,
+        bound_value=bound,
+        bound_basis=basis,
+        nu_used=rounds,
+        kappa_ub=cert.kappa_ub,
+        rounds=rounds,
+        last_round_classes=last_round_classes,
+        piercing_points=tuple(piercing_points),
+        piercing_points_used=len(piercing_points),
+        fallback_used=fallback_any,
+    )
+
+
+ROUND_BODIES = {
+    "square": ConvexBody.unit_square(),
+    "disk": ConvexBody.disk(),
+    "triangle": ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]),
+    "thin-quadrilateral": ConvexBody.polygon([(0, 0), (3, 0.2), (3.1, 0.5), (0.2, 0.4)]),
+    "regular-pentagon": ConvexBody.polygon(
+        [(math.cos(0.3 + 2 * math.pi * k / 5), math.sin(0.3 + 2 * math.pi * k / 5))
+         for k in range(5)]),
+    "box-3d": ConvexBody.box((1.0, 0.5, 2.0)),
+}
+
+
+@lru_cache(maxsize=None)
+def round_certificate(body: ConvexBody) -> CoveringCertificate:
+    return difference_certificate(body, body, 20_000)
+
+
+def assert_rounds_match_the_reference(family: Family, cert: CoveringCertificate) -> PartitionReport:
+    g = build_graph(family)
+    assert size_order(family) == reference_size_order(family)
+    for nu in (None, 3):
+        got = clique_partition_homothets(family, cert, nu=nu, graph=g)
+        assert got == reference_clique_partition_homothets(family, cert, nu=nu, graph=g)
+    if len(family):
+        smallest = size_order(family)[0]
+        sub = [smallest, *np.flatnonzero(g.matrix[smallest]).tolist()]
+        assert (pierce_intersecting_smallest(family, sub, cert)
+                == reference_pierce_intersecting_smallest(family, sub, cert))
+    return got
+
+
+@st.composite
+def round_families(draw) -> Family:
+    """Mixed-scale (0.3-2) families of 0 to 150 members: dyadic lattice
+    centers and scales, where exact tangencies are common, or uniform ones."""
+    body = ROUND_BODIES[draw(st.sampled_from(sorted(ROUND_BODIES)))]
+    n = draw(st.integers(min_value=0, max_value=150))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    side = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) * math.sqrt(max(n, 1))
+    size = (n, body.dimension)
+    if draw(st.booleans()):
+        centers = rng.integers(0, int(4 * side) + 1, size=size) / 4.0
+        scales = rng.integers(1, 5, size=n) / 2.0
+    else:
+        centers = rng.uniform(0.0, side, size=size)
+        scales = rng.uniform(0.3, 2.0, size=n)
+    return Family(body=body, placements=tuple(
+        Placement(tuple(c), float(s)) for c, s in zip(centers.tolist(), scales)))
+
+
+class TestRoundsMatchTheReference:
+    """`clique_partition_homothets` and `pierce_intersecting_smallest` give the
+    per-member reference's results exactly: same rounds, points and classes."""
+
+    @settings(max_examples=200)
+    @given(round_families(), st.booleans())
+    def test_random_families(self, family, far):
+        cert = far_certificate(family.body) if far else round_certificate(family.body)
+        assert_rounds_match_the_reference(family, cert)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", sorted(set(ROUND_BODIES) - {"box-3d"}))
+    def test_tangent_grids(self, name, m):
+        body = ROUND_BODIES[name]
+        assert_rounds_match_the_reference(grid_family(body, m), round_certificate(body))
+
+    def test_tangent_3d_grid(self):
+        body = ROUND_BODIES["box-3d"]
+        assert_rounds_match_the_reference(grid_family(body, 2), round_certificate(body))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pentagon_constructions(self, k):
+        family = pentagon_family(k)
+        assert_rounds_match_the_reference(family, round_certificate(family.body))
+
+    def test_nested_disks(self):
+        disk = ROUND_BODIES["disk"]
+        family = Family(body=disk, placements=tuple(
+            Placement((0.1 * i, 0.0), 1.0 + 0.1 * i) for i in range(12)))
+        rep = assert_rounds_match_the_reference(family, round_certificate(disk))
+        assert rep.rounds == 1
+
+    @pytest.mark.parametrize("name", ["triangle", "thin-quadrilateral", "regular-pentagon"])
+    def test_symmetrized_translates(self, name):
+        body = ROUND_BODIES[name]
+        for family in (grid_family(body, 2), random_family(body, 60, (0, 6), seed=3)):
+            k_family, cert = symmetrized_family(family, samples=20_000)
+            assert_rounds_match_the_reference(k_family, cert)
+
+    @pytest.mark.parametrize("name", sorted(ROUND_BODIES))
+    def test_far_certificate(self, name):
+        # a box's corners pierce every round; any other body falls back in each
+        body = ROUND_BODIES[name]
+        family = random_family(body, 80, (0, 8), scale_range=(0.3, 2), seed=5)
+        rep = assert_rounds_match_the_reference(family, far_certificate(body))
+        assert rep.fallback_used == (body.kind != "box")
+
+
+@pytest.mark.parametrize("name", ["square", "disk", "box-3d"])
+def test_a_partition_without_fallback_makes_one_kernel_call(name, monkeypatch):
+    body = ROUND_BODIES[name]
+    family = random_family(body, 120, (0, 8), scale_range=(0.3, 2), seed=2)
+    kernel = type(_shape(body)).contains
+    calls = []
+
+    def counted(self, centers, scales, pts):
+        calls.append(len(centers))
+        return kernel(self, centers, scales, pts)
+
+    monkeypatch.setattr(type(_shape(body)), "contains", counted)
+    rep = clique_partition_homothets(family, known_certificate(body))
+    assert not rep.fallback_used and rep.rounds > 10
+    assert calls == [len(family)]
