@@ -9,6 +9,14 @@ co-intersection graph.  Dilworth chain covers then color each class optimally
 and Mirsky antichain layers partition it into cliques, with palette
 accounting multiplying by M^(n-1) * c classes overall.
 
+Every class goes through each stage at once.  One stable lexsort groups the
+members by (line, residue); `build_poset` gathers, checks and bit-packs the
+orders of all classes whose sizes share a power-of-two ceiling in one batch,
+so each class's relation becomes Python-int rows (bit j is its j-th member).
+Kuhn's matching and Mirsky's layering then run on those rows, one class
+after another, visiting successors and layers in the same order as a scan of
+the boolean matrix would.
+
 The moduli are parameterized by the measured containment ratio r: M = ceil(r)
 + 1 per cross axis and c = ceil(M / 2) along the last axis, which keeps the
 disjointness arithmetic (M - 1 >= r and 2c - 1 >= r) valid and recovers the
@@ -29,6 +37,7 @@ from .reports import ClassSummary, ColoringReport, PartitionReport
 
 OFFSET_CLEARANCE = 1e-6
 MAX_OFFSET_DRAWS = 100
+GROUP_FLOOR = 16
 
 
 @dataclass(frozen=True)
@@ -88,13 +97,24 @@ class Decomposition:
     offsets: Offsets
     params: BoundParams
 
+    def grouping(self) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], int]]]:
+        """Members grouped by (full line key, cell residue) with one stable
+        lexsort: the member order (ascending inside each class), the bounds
+        of each class in it, and the class keys, sorted."""
+        keys = np.column_stack([self.line_keys, self.cell_residues])
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        edges = np.ones(len(order) + 1, dtype=bool)
+        edges[1:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        bounds = np.flatnonzero(edges)
+        class_keys = [(tuple(row[:-1]), row[-1]) for row in ranked[bounds[:-1]].tolist()]
+        return order, bounds, class_keys
+
     def classes(self) -> dict[tuple[tuple[int, ...], int], list[int]]:
         """Members grouped by (full line key, cell residue), sorted keys."""
-        out: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        rows = zip(self.line_keys.tolist(), self.cell_residues.tolist())
-        for i, (line, residue) in enumerate(rows):
-            out.setdefault((tuple(line), residue), []).append(i)
-        return dict(sorted(out.items()))
+        order, bounds, class_keys = self.grouping()
+        members = order.tolist()
+        return {key: members[a:b] for key, a, b in zip(class_keys, bounds, bounds[1:])}
 
     def block_of(self, class_key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
         line_key, c_res = class_key
@@ -103,26 +123,19 @@ class Decomposition:
 
 @dataclass
 class PosetClass:
-    """One (line, cell-residue) class with its strict partial order.
+    """One (line, cell-residue) class with its strict partial order as bit rows.
 
-    relation[i, j] is True iff member i precedes member j: they are disjoint
-    and i's reference point has the strictly smaller last coordinate.
+    Member i precedes member j (positions in `members`, which ascend) iff they
+    are disjoint and i's reference point has the strictly smaller last
+    coordinate; then bit j of succ[i] and bit i of pred[j] are set.  `order`
+    lists the positions by ascending last coordinate, ties by position: a
+    linear extension of the order.
     """
 
     members: tuple[int, ...]
-    relation: np.ndarray
-    last_coords: np.ndarray
-
-    def __post_init__(self):
-        rel = self.relation
-        if (rel & rel.T).any():
-            raise ConsistencyError("precedence relation is not asymmetric")
-        composed = (rel.astype(np.float32) @ rel.astype(np.float32)) > 0  # BLAS; 0/1 sums stay exact
-        if (composed & ~rel).any():
-            raise ConsistencyError(
-                "precedence relation is not transitive; the parallelogram fit "
-                "does not dominate the body"
-            )
+    succ: list[int]
+    pred: list[int]
+    order: list[int]
 
 
 def normalize(family: Family) -> NormalizedFamily:
@@ -174,13 +187,15 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
         return Decomposition(line_keys=empty, cells=np.zeros(0, dtype=int),
                              cell_residues=np.zeros(0, dtype=int),
                              offsets=offsets, params=params)
-    b = np.asarray(offsets.b)
-    cross = refs[:, : n - 1] - b
-    with np.errstate(invalid="ignore"):  # a key that overflows the cast fails the check
+    cross = refs[:, : n - 1] - np.asarray(offsets.b)
+    along = refs[:, n - 1] - offsets.cell_offset
+    with np.errstate(invalid="ignore"):  # an index that overflows the cast fails its check
         line_keys = np.floor(cross + 0.5).astype(int)
+        cells = np.floor(along + 0.5).astype(int)
     if not (np.abs(cross - line_keys) < 0.5).all():
         raise GeometryError("a reference point is tangent to a lattice line")
-    cells = np.floor(refs[:, n - 1] - offsets.cell_offset + 0.5).astype(int)
+    if not (np.abs(along - cells) < 0.5).all():
+        raise GeometryError("a reference point is on a cell boundary or beyond the cell range")
     return Decomposition(
         line_keys=line_keys,
         cells=cells,
@@ -190,86 +205,155 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
     )
 
 
-def build_poset(members: list[int], nf: NormalizedFamily,
-                graph: IntersectionGraph) -> PosetClass:
-    """Strict partial order on one class: disjoint (in the family's graph) and
-    strictly lower last coordinate.  Transitivity failures raise (they would
-    falsify the fit)."""
-    last = nf.refs[members, nf.params.n - 1] if members else np.zeros(0)
-    disjoint = ~graph.matrix[np.ix_(members, members)]
-    np.fill_diagonal(disjoint, False)
-    if (disjoint & (last[:, None] == last[None, :])).any():
-        raise ConsistencyError("disjoint class members share a last coordinate")
-    relation = disjoint & (last[:, None] < last[None, :])
-    return PosetClass(members=tuple(members), relation=relation, last_coords=last)
+def build_poset(dec: Decomposition, nf: NormalizedFamily,
+                graph: IntersectionGraph) -> dict[tuple, PosetClass]:
+    """Every class's strict partial order, keyed by class in sorted order:
+    disjoint (in the family's graph) and strictly lower last coordinate.
 
-
-def _successors(relation: np.ndarray) -> list[list[int]]:
-    """Each row's True columns in ascending order, read from one np.nonzero."""
-    cols = np.nonzero(relation)[1].tolist()
-    ends = relation.sum(axis=1).cumsum().tolist()
-    return [cols[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def chain_partition(poset: PosetClass) -> list[list[int]]:
-    """Minimum chain cover via Dilworth reduction to bipartite matching.
-
-    The relation is transitively closed, so the path cover count m - |matching|
-    equals the maximum antichain, i.e. the clique number of the class's
-    intersection graph.  Chains are reported in member-index terms.
+    Classes whose sizes share a power-of-two ceiling form one group, padded
+    only to its largest class, and each group is one gather, one batch of
+    checks and one bit packing.  Classes of up to GROUP_FLOOR members share
+    one group: their padding costs less than a group's fixed NumPy calls.
+    Disjoint members sharing a last coordinate raise, and so does an order
+    that is not asymmetric and transitive (it would falsify the fit).
     """
-    m = len(poset.members)
-    succ = _successors(poset.relation)
-    match_left = [-1] * m   # successor chosen for each node
-    match_right = [-1] * m  # predecessor that claimed each node
-
-    # Kuhn's augmenting-path search from each root, depth first on an explicit
-    # stack (a path can outgrow the recursion limit), successors ascending
-    for root in range(m):
-        visited = [False] * m
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            for v in stack[-1][1]:
-                if not visited[v]:
-                    break
-            else:
-                stack.pop()
-                continue
-            visited[v] = True
-            if match_right[v] != -1:
-                stack.append((match_right[v], iter(succ[match_right[v]])))
-                continue
-            # flip the path: each node takes the successor it tried, which
-            # below the top is the old partner of the node above
-            for u, _ in reversed(stack):
-                match_right[v], match_left[u], v = u, v, match_left[u]
-            break
-
-    chains = []
-    for v in range(m):
-        if match_right[v] == -1:
-            chain = [v]
-            while match_left[chain[-1]] != -1:
-                chain.append(match_left[chain[-1]])
-            chains.append([poset.members[i] for i in chain])
-    chains.sort(key=lambda ch: min(ch))
-    return chains
+    order, bounds, class_keys = dec.grouping()
+    sizes = np.diff(bounds)
+    groups: dict[int, list[int]] = {}
+    for k, m in enumerate(sizes.tolist()):
+        groups.setdefault((max(m, GROUP_FLOOR) - 1).bit_length(), []).append(k)
+    last = nf.refs[:, nf.params.n - 1]
+    posets: list[PosetClass | None] = [None] * len(class_keys)
+    for group in groups.values():
+        starts, counts = bounds[group, None], sizes[group, None]
+        span = int(counts.max())
+        pos = np.arange(span)
+        real = pos < counts
+        idx = order[np.where(real, starts + pos, starts)]  # pad with each class's first member
+        coords = np.where(real, last[idx], np.nan)          # NaN compares False: no padded pair
+        disjoint = ~graph.matrix[idx[:, :, None], idx[:, None, :]]
+        disjoint[:, pos, pos] = False
+        if (disjoint & (coords[:, :, None] == coords[:, None, :])).any():
+            raise ConsistencyError("disjoint class members share a last coordinate")
+        relation = disjoint & (coords[:, :, None] < coords[:, None, :])
+        _check_orders(relation)
+        succ, pred = _bit_rows(np.stack((relation, relation.transpose(0, 2, 1)))[:, real])
+        ids = idx[real].tolist()
+        ranks = np.argsort(coords, axis=1, kind="stable").tolist()
+        at = 0
+        for k, rank, m in zip(group, ranks, counts[:, 0].tolist()):
+            posets[k] = PosetClass(members=tuple(ids[at:at + m]), succ=succ[at:at + m],
+                                   pred=pred[at:at + m], order=rank[:m])
+            at += m
+    return dict(zip(class_keys, posets))
 
 
-def antichain_partition(poset: PosetClass) -> list[list[int]]:
-    """Mirsky height layering: as many antichains as the longest chain, and
-    each antichain is a clique in the intersection graph."""
-    m = len(poset.members)
-    preds = _successors(poset.relation.T)
-    order = sorted(range(m), key=lambda i: (poset.last_coords[i], i))
-    level = [0] * m
-    for i in order:
-        level[i] = 1 + max(level[j] for j in preds[i]) if preds[i] else 0
-    height = max(level) + 1 if m else 0
-    layers: list[list[int]] = [[] for _ in range(height)]
-    for i in range(m):
-        layers[level[i]].append(poset.members[i])
-    return layers
+def _check_orders(relation: np.ndarray) -> None:
+    """Raise unless every (s, s) block of a (g, s, s) batch of relations is
+    asymmetric and transitive."""
+    if (relation & relation.transpose(0, 2, 1)).any():
+        raise ConsistencyError("precedence relation is not asymmetric")
+    as_float = relation.astype(np.float32)
+    composed = np.matmul(as_float, as_float) > 0  # BLAS; 0/1 sums stay exact
+    if (composed & ~relation).any():
+        raise ConsistencyError(
+            "precedence relation is not transitive; the parallelogram fit "
+            "does not dominate the body"
+        )
+
+
+def _bit_rows(rows: np.ndarray) -> list[list[int]]:
+    """Each row of a (k, r, s) boolean array as a Python int whose bit j is
+    column j: rows padded to whole 64-bit words and packed in one call, then
+    read as `<u8` words when s <= 64, else with one int.from_bytes each."""
+    k, r, s = rows.shape
+    width = 64 * -(-s // 64)
+    padded = np.zeros((k, r, width), dtype=bool)
+    padded[..., :s] = rows
+    packed = np.packbits(padded, bitorder="little")
+    if width == 64:
+        return packed.view("<u8").reshape(k, r).tolist()
+    raw, step = packed.tobytes(), width // 8
+    ints = [int.from_bytes(raw[a:a + step], "little") for a in range(0, len(raw), step)]
+    return [ints[i * r:(i + 1) * r] for i in range(k)]
+
+
+def chain_partition(posets: dict[tuple, PosetClass]) -> dict[tuple, list[list[int]]]:
+    """Minimum chain cover of every class via Dilworth reduction to bipartite
+    matching.
+
+    The relation is transitively closed, so a class's path cover count
+    m - |matching| equals its maximum antichain, i.e. the clique number of
+    the class's intersection graph.  Chains are reported in member-index
+    terms.
+    """
+    chains_of = {}
+    for key, poset in posets.items():
+        succ, m = poset.succ, len(poset.members)
+        match_left = [-1] * m   # successor chosen for each node
+        match_right = [-1] * m  # predecessor that claimed each node
+
+        # Kuhn's augmenting-path search from each root, depth first on an
+        # explicit stack (a path can outgrow the recursion limit).  A node's
+        # next candidate is its lowest unvisited successor bit: every lower
+        # successor has been visited already, so this is the ascending scan.
+        for root in range(m):
+            visited, stack = 0, [root]
+            while stack:
+                free = succ[stack[-1]] & ~visited
+                if not free:
+                    stack.pop()
+                    continue
+                bit = free & -free
+                visited |= bit
+                v = bit.bit_length() - 1
+                if match_right[v] != -1:
+                    stack.append(match_right[v])
+                    continue
+                # flip the path: each node takes the successor it tried,
+                # which below the top is the old partner of the node above
+                for u in reversed(stack):
+                    match_right[v], match_left[u], v = u, v, match_left[u]
+                break
+
+        chains = []
+        for v in range(m):
+            if match_right[v] == -1:
+                chain = [v]
+                while match_left[chain[-1]] != -1:
+                    chain.append(match_left[chain[-1]])
+                chains.append([poset.members[i] for i in chain])
+        chains.sort(key=lambda ch: min(ch))
+        chains_of[key] = chains
+    return chains_of
+
+
+def antichain_partition(posets: dict[tuple, PosetClass]) -> dict[tuple, list[list[int]]]:
+    """Mirsky height layering of every class: as many antichains as the
+    longest chain, and each antichain is a clique in the intersection graph.
+
+    Members are placed in a linear extension, so a member's predecessors are
+    placed before it; its level is one above the highest layer its
+    predecessor bits meet, scanning the layers' bitsets from the top.
+    """
+    layers_of = {}
+    for key, poset in posets.items():
+        level = [0] * len(poset.members)
+        layer_bits: list[int] = []
+        for i in poset.order:
+            below = poset.pred[i]
+            h = len(layer_bits) if below else 0
+            while h and not layer_bits[h - 1] & below:
+                h -= 1
+            if h == len(layer_bits):
+                layer_bits.append(0)
+            layer_bits[h] |= 1 << i
+            level[i] = h
+        layers: list[list[int]] = [[] for _ in layer_bits]
+        for i, h in enumerate(level):
+            layers[h].append(poset.members[i])
+        layers_of[key] = layers
+    return layers_of
 
 
 @dataclass
@@ -356,13 +440,13 @@ def translate_pipeline(family: Family, graph: IntersectionGraph,
     into chains and antichains; `graph` is the family's intersection graph."""
     nf = normalize(family)
     dec = decompose(nf, choose_offsets(nf, seed))
-    posets = {key: build_poset(members, nf, graph) for key, members in dec.classes().items()}
-    chains = {key: chain_partition(p) for key, p in posets.items()}
-    layers = {key: antichain_partition(p) for key, p in posets.items()}
+    posets = build_poset(dec, nf, graph)
+    chains = chain_partition(posets)
+    layers = antichain_partition(posets)
     summaries = tuple(
-        ClassSummary(line_key=key[0], cell_residue=key[1], members=posets[key].members,
+        ClassSummary(line_key=key[0], cell_residue=key[1], members=poset.members,
                      chain_count=len(chains[key]), antichain_count=len(layers[key]))
-        for key in sorted(posets)
+        for key, poset in posets.items()
     )
     return TranslatePipeline(nf, dec, posets, chains, layers, summaries)
 
