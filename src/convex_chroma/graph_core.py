@@ -73,12 +73,18 @@ class IntersectionGraph:
     def rows(self) -> tuple[int, ...]:
         """One bitmask per member, bit j of row i set where i and j are
         adjacent: the working form of the exact solvers."""
-        packed = np.packbits(self.matrix, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return _pack_rows(self.matrix)
 
     @cached_property
     def degrees(self) -> list[int]:
         return self.matrix.sum(axis=1).tolist()
+
+    @cached_property
+    def _by_degree(self) -> tuple[list[int], tuple[int, ...]]:
+        """DSATUR's relabelling: the members by degree, highest first and the
+        lowest index on ties, and the bit rows of the graph in that order."""
+        order = np.argsort(-np.asarray(self.degrees, dtype=np.int64), kind="stable")
+        return order.tolist(), _pack_rows(self.matrix[np.ix_(order, order)])
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.matrix[i, j])
@@ -97,6 +103,11 @@ class IntersectionGraph:
 
     def subgraph(self, members: list[int]) -> "IntersectionGraph":
         return IntersectionGraph.from_matrix(self.matrix[np.ix_(members, members)])
+
+
+def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def build_graph(family: Family) -> IntersectionGraph:
@@ -128,10 +139,40 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _needs_more_colors(p: int, rows: tuple[int, ...], bound: int) -> bool:
+    """Whether a greedy coloring of the members in p needs more than `bound`
+    colors.  Each color class takes the lowest member left, drops its
+    neighbours from the class's candidates, and repeats until none is left;
+    the count stops as soon as it passes the bound."""
+    classes = 0
+    while p:
+        classes += 1
+        if classes > bound:
+            return True
+        candidates = p
+        while candidates:
+            low = candidates & -candidates
+            p ^= low
+            candidates = (candidates ^ low) & ~rows[low.bit_length() - 1]
+    return classes > bound
+
+
 def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResult:
     """Exact maximum clique by Bron-Kerbosch with greedy pivoting, run on an
     explicit stack of open nodes (one per member of the growing clique), so
-    its depth is not bound by the recursion limit."""
+    its depth is not bound by the recursion limit.
+
+    An open node with clique r and candidates p is pushed only if a greedy
+    coloring of p needs more than |best| - |r| colors (Tomita and Seki's MCQ,
+    2003, on bit rows as in San Segundo et al.'s BBMC, 2011).  The members of
+    one color class are pairwise non-adjacent, so every clique in p takes at
+    most one member per class, and every clique below the node has at most
+    |r| + (colors of p) <= |best| members.  The incumbent only grows and is
+    replaced only by a strictly larger clique, so no node below a pruned one
+    would ever have replaced it; and pruning a subtree changes neither the
+    incumbent nor the p and x its parent goes on with.  The search therefore
+    meets the same incumbents in the same order as the search without the
+    bound, and returns the same witness."""
     n = g.member_count
     if n > cap:
         greedy = _greedy_clique(g)
@@ -148,7 +189,8 @@ def max_clique(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> SolveResul
         if p == 0 and x == 0:
             if len(r) > len(best):
                 best = r[:]
-        elif len(r) + p.bit_count() > len(best):
+        elif (len(r) + p.bit_count() > len(best)
+              and _needs_more_colors(p, rows, len(best) - len(r))):
             pivot, pivot_deg = -1, -1
             for u in _bits(p | x):
                 d = (p & rows[u]).bit_count()
@@ -186,6 +228,19 @@ def max_independent_set(g: IntersectionGraph, cap: int = DEFAULT_OMEGA_CAP) -> S
     return max_clique(g.complement(), cap=cap)
 
 
+def _shift_levels(levels: list[int], moved: int, visit: range, step: int) -> None:
+    """Move each member of `moved` from its saturation level s to s + step.
+    `visit` walks the levels against the move, so no member moves twice."""
+    for s in visit:
+        if not moved:
+            return
+        at = levels[s] & moved
+        if at:
+            levels[s] ^= at
+            levels[s + step] |= at
+            moved ^= at
+
+
 def _dsatur(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...] = ()) -> list[int] | None:
     """DSATUR search (Brelaz 1979) for a proper coloring with at most
     k >= len(seed_clique) colors, or None.  The uncolored member with the most
@@ -193,44 +248,61 @@ def _dsatur(g: IntersectionGraph, k: int, seed_clique: tuple[int, ...] = ()) -> 
     takes the lowest free color, opening at most one new color at a time; a dead
     end pops the frame stack, whose frames keep the neighbours each choice marked.
     With k >= n no member runs out of colors, so the first descent is the greedy
-    coloring.  The seed clique gets distinct colors: it prunes and breaks symmetry."""
+    coloring.  The seed clique gets distinct colors: it prunes and breaks symmetry.
+
+    The search runs on the members relabelled by rank, in (degree descending,
+    index ascending) order, as bitmasks: `seen[c]` holds the uncolored members
+    with a neighbour of color c, and `levels[s]` those with s distinct neighbour
+    colors.  The member to color next is the lowest rank of the highest
+    nonempty level, with no scan over the uncolored members."""
     n = g.member_count
-    rows, degrees = g.rows, g.degrees
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    order, rows = g._by_degree
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    colors = [-1] * n   # by rank
+    seen = [0] * n      # no more than n colors are ever open
+    levels = [0] * (n + 2)
+    free = (1 << n) - 1
     for c, v in enumerate(seed_clique):
-        colors[v] = c
-        for u in _bits(rows[v]):
-            neighbor_colors[u].add(c)
-    uncolored = [i for i in range(n) if colors[i] == -1]
-    free = sum(1 << i for i in uncolored)
-    frames: list[tuple[int, int, int, list[int]]] = []   # member, color, colors used before, marked
-    v, first, used = None, 0, len(seed_clique)
-    while uncolored:
-        if v is None:
-            v, first = max(uncolored, key=lambda i: (len(neighbor_colors[i]), degrees[i], -i)), 0
+        colors[rank[v]] = c
+        free ^= 1 << rank[v]
+    levels[0] = free
+    for c, v in enumerate(seed_clique):
+        seen[c] = rows[rank[v]] & free
+        _shift_levels(levels, seen[c], range(c, -1, -1), 1)
+    frames: list[tuple[int, int, int, int, int]] = []   # rank, color, colors used before, marked, level
+    v, level, first, used = -1, 0, 0, len(seed_clique)
+    while free:
+        if v < 0:
+            level = used
+            while not levels[level]:
+                level -= 1
+            low = levels[level] & -levels[level]
+            v, first = low.bit_length() - 1, 0
+        bit = 1 << v
         for c in range(first, min(k, used + 1)):
-            if c not in neighbor_colors[v]:
+            if not seen[c] & bit:
                 break
         else:   # no color left for v: undo the last choice
             if not frames:
                 return None
-            v, c, used, touched = frames.pop()
-            uncolored.append(v)
+            v, c, used, touched, level = frames.pop()
             free |= 1 << v
-            for u in touched:
-                neighbor_colors[u].discard(c)
+            levels[level] |= 1 << v
+            seen[c] ^= touched
+            _shift_levels(levels, touched, range(1, used + 2), -1)
             first = c + 1
             continue
         colors[v] = c
-        uncolored.remove(v)
-        free ^= 1 << v
-        touched = [u for u in _bits(rows[v] & free) if c not in neighbor_colors[u]]
-        for u in touched:
-            neighbor_colors[u].add(c)
-        frames.append((v, c, used, touched))
-        v, used = None, max(used, c + 1)
-    return colors
+        free ^= bit
+        levels[level] ^= bit
+        touched = rows[v] & free & ~seen[c]
+        seen[c] |= touched
+        _shift_levels(levels, touched, range(used, -1, -1), 1)
+        frames.append((v, c, used, touched, level))
+        v, used = -1, max(used, c + 1)
+    return [colors[r] for r in rank]
 
 
 def greedy_coloring(g: IntersectionGraph) -> list[int]:

@@ -192,6 +192,8 @@ def decompose(nf: NormalizedFamily, offsets: Offsets) -> Decomposition:
     with np.errstate(invalid="ignore"):  # an index that overflows the cast fails its check
         line_keys = np.floor(cross + 0.5).astype(int)
         cells = np.floor(along + 0.5).astype(int)
+    if not (np.abs(cross) < 2.0**63).all():
+        raise GeometryError("a reference point is beyond the int64 range of the line keys")
     if not (np.abs(cross - line_keys) < 0.5).all():
         raise GeometryError("a reference point is tangent to a lattice line")
     if not (np.abs(along - cells) < 0.5).all():

@@ -313,8 +313,8 @@ class TestExitCodes:
         (["color", "--in", "{p2}", "--samples", "abc"], None, EXIT_INPUT, "invalid int"),
         (["verify"], None, EXIT_INPUT, "required: --in"),
         (["color", "--in", "{far}", "--method", "translates"], None, EXIT_INPUT,
-         "tangent to a lattice line"),
-        (["verify", "--in", "{far}"], None, EXIT_INPUT, "tangent to a lattice line"),
+         "beyond the int64 range of the line keys"),
+        (["verify", "--in", "{far}"], None, EXIT_INPUT, "beyond the int64 range of the line keys"),
         (["color", "--in", "{mixed}", "--method", "translates"], None, EXIT_INPUT,
          "the translates method needs a uniform-scale family"),
         (["color", "--in", "{mixed}", "--method", "symmetrized"], None, EXIT_INPUT,

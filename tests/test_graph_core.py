@@ -2,14 +2,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from convex_chroma.constructions import (
     explicit_pentagon_coloring,
     grid_family,
     pentagon_disjoint_family,
     pentagon_family,
+    random_family,
 )
 from convex_chroma.families import translates
+from convex_chroma.geometry import ConvexBody
 from convex_chroma.graph_core import (
     ConsistencyError,
     GraphInvariants,
@@ -310,6 +315,40 @@ class TestDsatur:
                 assert witness == reference_chromatic_witness(graph, cap=45)
 
 
+@st.composite
+def tied_graphs(draw) -> IntersectionGraph:
+    """Graphs whose members tie on (saturation, degree): disjoint copies of
+    one small graph, or a circulant graph, under a shuffled labelling, so only
+    the index breaks the tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 7))
+        adj = np.kron(np.eye(draw(st.integers(1, 4)), dtype=int),
+                      random_graph(int(rng.integers(1 << 30)), size, p=draw(st.floats(0, 1))))
+    else:
+        n = draw(st.integers(1, 30))
+        steps = draw(st.sets(st.integers(1, max(n // 2, 1)), max_size=4))
+        adj = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            for step in steps:
+                adj[i, (i + step) % n] = adj[(i + step) % n, i] = 1
+    perm = rng.permutation(len(adj))
+    return IntersectionGraph.from_matrix(adj[np.ix_(perm, perm)])
+
+
+class TestDsaturTies:
+    """The bucketed pick breaks (saturation, degree) ties by the lowest index,
+    as the key scan of the reference does."""
+
+    @settings(max_examples=150)
+    @given(tied_graphs())
+    def test_tied_graphs_match_the_reference(self, g):
+        for graph in (g, g.complement()):
+            assert greedy_coloring(graph) == reference_dsatur(graph)
+            witness = chromatic_number(graph, cap=45).witness
+            assert witness == reference_chromatic_witness(graph, cap=45)
+
+
 def reference_max_clique(g: IntersectionGraph) -> tuple[int, tuple[int, ...]]:
     """The recursive Bron-Kerbosch with greedy pivoting that `max_clique`
     runs on an explicit stack: same pivots, same branch order."""
@@ -368,6 +407,115 @@ class TestMaxClique:
         res = max_clique(g, cap=10)
         assert res.capped and res.value is None
         assert res.lower >= 1 and res.upper == 30
+
+
+TRIANGLE = ConvexBody.polygon([(0, 0), (1, 0), (0, 1)])
+
+
+class TestColoringBound:
+    """The coloring bound prunes only subtrees that cannot beat the incumbent,
+    so value and witness equal the search without it."""
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    @example(40, 0.95, 0)
+    @example(40, 0.5, 1)
+    @example(40, 0.05, 2)
+    @example(0, 0.5, 3)
+    def test_random_graphs_match_the_reference(self, n, p, seed):
+        g = IntersectionGraph.from_matrix(random_graph(seed, n, p=p))
+        res = max_clique(g)
+        assert (res.value, res.witness) == reference_max_clique(g)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(["triangle", "disk"]), st.integers(2, 45), st.integers(0, 10_000))
+    @example("triangle", 45, 1)
+    @example("disk", 45, 1)
+    def test_family_complements_match_the_reference(self, body, n, seed):
+        # the independent sets of dense families, where the reference still
+        # finishes in well under a second
+        shape = TRIANGLE if body == "triangle" else ConvexBody.disk()
+        comp = build_graph(random_family(shape, n, (0, 6), seed=seed)).complement()
+        res = max_clique(comp)
+        assert (res.value, res.witness) == reference_max_clique(comp)
+
+    @pytest.mark.parametrize("n,alpha", [(55, 19), (70, 22)])
+    def test_dense_independent_sets_are_fast(self, n, alpha):
+        # 4 s at n=55 without the bound, and minutes at n=70
+        g = build_graph(random_family(TRIANGLE, n, (0, 6), seed=1))
+        t0 = time.perf_counter()
+        res = max_independent_set(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.value == alpha and not res.capped
+        assert not g.matrix[np.ix_(res.witness, res.witness)].any()
+
+
+def milp_independence_number(g: IntersectionGraph) -> int:
+    """alpha from HiGHS: one binary per member, one x_i + x_j <= 1 per edge."""
+    n = g.member_count
+    edges = g.edges()
+    a = np.zeros((max(len(edges), 1), n))
+    for row, (i, j) in enumerate(edges):
+        a[row, i] = a[row, j] = 1
+    res = milp(-np.ones(n), constraints=LinearConstraint(a, -np.inf, 1),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    assert res.success
+    return round(-res.fun)
+
+
+def milp_chromatic_number(g: IntersectionGraph) -> int:
+    """chi from HiGHS's assignment model: x[v, c] puts member v in color c,
+    y[c] opens color c; each member takes one color, the ends of an edge
+    differ, a used color is open, and colors open in order."""
+    n = g.member_count
+    h = max(g.degrees) + 1   # a greedy coloring never needs more
+    nx = n * h
+
+    def x(v, c):
+        return v * h + c
+
+    rows, lower, upper = [], [], []
+
+    def constrain(coeffs, lo, hi):
+        row = np.zeros(nx + h)
+        for col, value in coeffs:
+            row[col] += value
+        rows.append(row), lower.append(lo), upper.append(hi)
+
+    for v in range(n):
+        constrain([(x(v, c), 1) for c in range(h)], 1, 1)
+        for c in range(h):
+            constrain([(x(v, c), 1), (nx + c, -1)], -np.inf, 0)
+    for i, j in g.edges():
+        for c in range(h):
+            constrain([(x(i, c), 1), (x(j, c), 1), (nx + c, -1)], -np.inf, 0)
+    for c in range(h - 1):
+        constrain([(nx + c, -1), (nx + c + 1, 1)], -np.inf, 0)
+    cost = np.concatenate([np.zeros(nx), np.ones(h)])
+    res = milp(cost, constraints=LinearConstraint(np.array(rows), lower, upper),
+               integrality=np.ones(nx + h), bounds=Bounds(0, 1))
+    assert res.success
+    return round(res.fun)
+
+
+class TestMilpCrossCheck:
+    """Values from an independent solver, HiGHS through `scipy.optimize.milp`.
+    Only the values are compared: HiGHS's choice of witness is not fixed."""
+
+    @pytest.mark.parametrize("n", [55, 70])
+    def test_independence_number_of_dense_triangle_families(self, n):
+        g = build_graph(random_family(TRIANGLE, n, (0, 6), seed=1))
+        assert max_independent_set(g).value == milp_independence_number(g)
+
+    @pytest.mark.parametrize("name", ["pentagon-k2", "triangle-n40"])
+    def test_chromatic_number(self, name):
+        fam = (pentagon_family(2) if name == "pentagon-k2"
+               else random_family(TRIANGLE, 40, (0, 6), seed=1))
+        g = build_graph(fam)
+        res = chromatic_number(g)
+        assert not res.capped and res.value == milp_chromatic_number(g)
+        if name == "pentagon-k2":
+            assert res.value == 5
 
 
 class TestMaxIndependentSet:

@@ -233,6 +233,20 @@ class TestDecompose:
             with pytest.raises(GeometryError, match="cell range"):
                 clique_partition_translates(fam)
 
+    @pytest.mark.parametrize("centers", [
+        [(1e19, 0.3), (-1e19, 0.3)],
+        [(1e300, 1e300), (1e300, -1e300)],
+    ], ids=["1e19", "1e300"])
+    def test_line_keys_beyond_the_integer_range_are_rejected(self, centers):
+        # named as a range failure, not as a tangency, and the cast warns of nothing
+        fam = translates(ConvexBody.box((1.0, 1.0)), centers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="int64 range of the line keys"):
+                color_translates(fam)
+            with pytest.raises(GeometryError, match="int64 range of the line keys"):
+                clique_partition_translates(fam)
+
     def test_grouping_is_the_sorted_class_order(self):
         params = BoundParams.from_ratio(3, 1.0)
         refs = np.random.default_rng(3).uniform(-3, 3, size=(200, 3))
