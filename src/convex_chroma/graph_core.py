@@ -5,10 +5,18 @@ A graph is one read-only boolean n x n adjacency matrix, checked once on
 construction; `build_graph` takes it from `pairwise_adjacency`, which tests
 only the member pairs within reach of an x-sorted sweep.  Every reader slices
 or masks the matrix (edges, complements, subgraphs, the coloring and
-clique-partition checks, the translate posets and the homothet rounds).  The exact solvers work on `rows`, one bitmask per member,
-packed from the matrix on first use.  The complement is built once and kept,
-so alpha/nu and theta share its packing and degree list.  One iterative DSATUR
-search gives both the greedy coloring and the exact chromatic number.
+clique-partition checks, the translate posets and the homothet rounds).  The
+exact solvers work on `rows`, one bitmask per member, packed from the matrix
+on first use.  The complement is built once and kept, so alpha/nu and theta
+share its packing and degree list.
+
+The maximum clique search (behind omega and alpha) is Bron-Kerbosch with
+pivoting, pruned by a greedy coloring of each node's candidates: a node whose
+candidates take no more colors than the incumbent leaves room for holds no
+larger clique.  One iterative DSATUR search gives both the greedy coloring and
+the exact chromatic number; it keeps its uncolored members in one bitmask per
+saturation level, over the members ranked by degree, so the next member is a
+lowest set bit and not a scan.
 
 Solvers are exact and deterministic (lowest-index tie-breaking).  Instances
 above the caps return explicit "capped" results carrying bounds instead of

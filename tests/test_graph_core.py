@@ -439,16 +439,6 @@ class TestColoringBound:
         res = max_clique(comp)
         assert (res.value, res.witness) == reference_max_clique(comp)
 
-    @pytest.mark.parametrize("n,alpha", [(55, 19), (70, 22)])
-    def test_dense_independent_sets_are_fast(self, n, alpha):
-        # 4 s at n=55 without the bound, and minutes at n=70
-        g = build_graph(random_family(TRIANGLE, n, (0, 6), seed=1))
-        t0 = time.perf_counter()
-        res = max_independent_set(g)
-        assert time.perf_counter() - t0 < 1.0
-        assert res.value == alpha and not res.capped
-        assert not g.matrix[np.ix_(res.witness, res.witness)].any()
-
 
 def milp_independence_number(g: IntersectionGraph) -> int:
     """alpha from HiGHS: one binary per member, one x_i + x_j <= 1 per edge."""
@@ -480,7 +470,9 @@ def milp_chromatic_number(g: IntersectionGraph) -> int:
         row = np.zeros(nx + h)
         for col, value in coeffs:
             row[col] += value
-        rows.append(row), lower.append(lo), upper.append(hi)
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
 
     for v in range(n):
         constrain([(x(v, c), 1) for c in range(h)], 1, 1)
@@ -502,10 +494,16 @@ class TestMilpCrossCheck:
     """Values from an independent solver, HiGHS through `scipy.optimize.milp`.
     Only the values are compared: HiGHS's choice of witness is not fixed."""
 
-    @pytest.mark.parametrize("n", [55, 70])
-    def test_independence_number_of_dense_triangle_families(self, n):
+    @pytest.mark.parametrize("n,alpha", [(55, 19), (70, 22)])
+    def test_independence_number_of_dense_triangle_families(self, n, alpha):
+        # without the coloring bound the exact search took 4 s at n=55 and
+        # 87 s at n=70
         g = build_graph(random_family(TRIANGLE, n, (0, 6), seed=1))
-        assert max_independent_set(g).value == milp_independence_number(g)
+        t0 = time.perf_counter()
+        res = max_independent_set(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert not res.capped and res.value == alpha == milp_independence_number(g)
+        assert not g.matrix[np.ix_(res.witness, res.witness)].any()
 
     @pytest.mark.parametrize("name", ["pentagon-k2", "triangle-n40"])
     def test_chromatic_number(self, name):
