@@ -496,8 +496,7 @@ class TestMilpCrossCheck:
 
     @pytest.mark.parametrize("n,alpha", [(55, 19), (70, 22)])
     def test_independence_number_of_dense_triangle_families(self, n, alpha):
-        # without the coloring bound the exact search took 4 s at n=55 and
-        # 87 s at n=70
+        # the search without its coloring bound is far slower than this gate
         g = build_graph(random_family(TRIANGLE, n, (0, 6), seed=1))
         t0 = time.perf_counter()
         res = max_independent_set(g)
