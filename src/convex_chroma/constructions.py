@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, translates
-from .geometry import ConvexBody, GeometryError, Placement, _shape, homothet_margins, pairwise_adjacency
+from .geometry import ConvexBody, GeometryError, _shape, homothet_margins, pairwise_adjacency
 from .graph_core import SolverCaps, build_graph, clique_cover_number, max_clique
 
 GRID_MEMBER_CAP = 4096
@@ -44,39 +44,25 @@ def _pentagon_centers(circumradius: float) -> np.ndarray:
     return circumradius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _check_blowup_adjacency(family: Family, group_count: int, group_size: int,
-                            cycle: bool) -> None:
-    """Verify group-block adjacency: internal cliques, full adjacency between
-    consecutive groups (when cycle), nothing elsewhere."""
-    adj = pairwise_adjacency(family.body, family.centers(), family.scales())
-    for ga in range(group_count):
-        sa = slice(ga * group_size, (ga + 1) * group_size)
-        block = adj[sa, sa]
-        if not (block | np.eye(group_size, dtype=bool)).all():
-            raise GeometryError(f"group {ga} is not internally complete")
-        for gb in range(ga + 1, group_count):
-            sb = slice(gb * group_size, (gb + 1) * group_size)
-            expected = cycle and (gb - ga == 1 or (ga == 0 and gb == group_count - 1))
-            if expected and not adj[sa, sb].all():
-                raise GeometryError(f"groups {ga},{gb} must be fully adjacent")
-            if not expected and adj[sa, sb].any():
-                raise GeometryError(f"groups {ga},{gb} must be fully non-adjacent")
-
-
 def pentagon_family(k: int, circumradius: float = 0.8) -> Family:
     """5 groups of k near-duplicate unit squares (PENTAGON_JITTER apart) on a
     5-cycle; the intersection graph is verified to equal the blow-up C5[K_k]."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = _pentagon_centers(circumradius)
-    centers = []
-    for g in range(5):
-        for j in range(k):
-            frac = j / max(k - 1, 1)
-            centers.append(base[g] + PENTAGON_JITTER * frac)
-    family = translates(ConvexBody.unit_square(), np.array(centers),
+    frac = np.arange(k) / max(k - 1, 1)
+    centers = _pentagon_centers(circumradius)[:, None, :] + (PENTAGON_JITTER * frac)[None, :, None]
+    family = translates(ConvexBody.unit_square(), centers.reshape(5 * k, 2),
                         meta={"construction": "pentagon", "k": k})
-    _check_blowup_adjacency(family, 5, k, cycle=True)
+    # group g, members g*k to g*k + k - 1, is a clique adjacent to groups g +- 1 mod 5 only
+    adj = pairwise_adjacency(family.body, family.centers(), family.scales())
+    group = np.repeat(np.arange(5), k)
+    expected = np.isin((group[:, None] - group) % 5, (0, 1, 4))
+    np.fill_diagonal(expected, False)
+    wrong = np.argwhere(adj != expected)
+    if len(wrong):
+        i, j = wrong[0]
+        raise GeometryError(f"members {i} and {j} (groups {group[i]}, {group[j]}) must "
+                            f"{'' if expected[i, j] else 'not '}intersect in C5[K_{k}]")
     return family
 
 
@@ -84,13 +70,9 @@ def pentagon_disjoint_family(k: int, circumradius: float = 0.8, spacing: float =
     """k far-apart copies of the five-square pentagon pattern: nu = 2k, theta = 3k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = _pentagon_centers(circumradius)
-    centers = []
-    for copy in range(k):
-        shift = np.array([spacing * copy, 0.0])
-        for g in range(5):
-            centers.append(base[g] + shift)
-    family = translates(ConvexBody.unit_square(), np.array(centers),
+    shift = np.stack([spacing * np.arange(k), np.zeros(k)], axis=1)[:, None, :]
+    centers = (_pentagon_centers(circumradius)[None] + shift).reshape(5 * k, 2)
+    family = translates(ConvexBody.unit_square(), centers,
                         meta={"construction": "pentagon_disjoint", "k": k})
     adj = pairwise_adjacency(family.body, family.centers(), family.scales())
     copy = np.repeat(np.arange(k), 5)
@@ -145,9 +127,8 @@ def density(family: Family, domain_lo, domain_hi) -> DensityReport:
     if lo.shape != hi.shape or (hi <= lo).any():
         raise ValueError("domain box must have positive extent on every axis")
     shape = _shape(family.body)
-    measures = tuple(
-        shape.clipped_measure(np.asarray(p.center), p.scale, lo, hi) for p in family.placements
-    )
+    measures = tuple(shape.clipped_measure(c, s, lo, hi)
+                     for c, s in zip(family.centers(), family.scales().tolist()))
     domain_measure = float(np.prod(hi - lo))
     return DensityReport(
         rho=float(sum(measures) / domain_measure),
@@ -200,25 +181,24 @@ def random_family(
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = window
+    if not (math.isfinite(hi - lo) and all(0 <= s < math.inf for s in scale_range)):
+        raise GeometryError(f"random family needs a finite window and scales, "
+                            f"got {window}, {scale_range}")
     rng = np.random.default_rng(seed)
     dim = body.dimension
     centers = np.zeros((count, dim))
     scales = np.zeros(count)
-    placements: list[Placement] = []
     for k in range(count):
         for attempt in range(RANDOM_RESAMPLE_BUDGET):
-            center = tuple(float(v) for v in rng.uniform(lo, hi, size=dim))
+            center = rng.uniform(lo, hi, size=dim)
             scale = float(rng.uniform(scale_range[0], scale_range[1]))
-            cand = Placement(center=center, scale=scale)
-            margins = homothet_margins(body, centers[:k], scales[:k], cand.center, cand.scale)
+            margins = homothet_margins(body, centers[:k], scales[:k], center, scale)
             if (np.abs(margins) >= margin).all():
-                placements.append(cand)
-                centers[k], scales[k] = cand.center, cand.scale
+                centers[k], scales[k] = center, scale
                 break
         else:
             raise GeometryError(
-                f"could not place member {len(placements)} with margin {margin} "
+                f"could not place member {k} with margin {margin} "
                 f"after {RANDOM_RESAMPLE_BUDGET} draws"
             )
-    return Family(body=body, placements=tuple(placements),
-                  meta={"construction": "random", "seed": seed})
+    return Family(body, centers, scales, meta={"construction": "random", "seed": seed})

@@ -1,113 +1,126 @@
-"""Families of homothets: a body plus a placement list, with JSON round-trip."""
+"""Families of homothets: a body plus two read-only float arrays, centers and
+scales, checked once when built, with JSON round-trip.  Every scale is read as
+a float, so an int scale writes, and hashes, as the float it equals."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import ConvexBody, GeometryError, Placement
-from .reports import json_text, scalar_text
+from .reports import json_text
+
+_NUMBERS = {int, float}  # the JSON number types; bool is neither
 
 
-@dataclass(frozen=True)
 class Family:
-    """A finite family of homothets of one body.
+    """A finite family of homothets scales()[i] * body + centers()[i].
 
-    All placements share the body's dimension.  If every scale is equal the
-    family is a translate family.
+    `centers()` holds one row of body.dimension finite coordinates per member
+    and `scales()` one scale in (0, inf) per member, both read-only float
+    arrays.  If every scale is equal the family is a translate family.
+    Families compare and hash by identity.
     """
 
-    body: ConvexBody
-    placements: tuple[Placement, ...]
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        dim = self.body.dimension
-        for p in self.placements:
-            if len(p.center) != dim:
-                raise GeometryError(
-                    f"placement dimension {len(p.center)} != body dimension {dim}"
-                )
+    def __init__(self, body: ConvexBody, centers, scales, meta: dict | None = None):
+        dim = body.dimension
+        try:
+            c, s = np.array(centers, dtype=float), np.array(scales, dtype=float)
+        except ValueError:  # ragged or nested rows
+            raise GeometryError(f"placement centers must each hold {dim} numbers, "
+                                f"the body dimension") from None
+        c = c.reshape(0, dim) if c.shape == (0,) else c
+        if c.shape[1:] != (dim,) or s.shape != c.shape[:1]:
+            raise GeometryError(f"centers of shape {c.shape} and scales of shape {s.shape} "
+                                f"are not one member per row at body dimension {dim}")
+        if not np.isfinite(c).all():
+            bad = c[~np.isfinite(c).all(axis=1)][0]
+            raise GeometryError(f"placement center must be finite, got {tuple(bad.tolist())}")
+        if len(s) and not (s.min() > 0 and s.max() < math.inf):  # NaN fails both
+            bad = s[~((s > 0) & (s < math.inf))][0]
+            raise GeometryError(f"placement scale must be positive and finite, got {bad}")
+        c.setflags(write=False)
+        s.setflags(write=False)
+        self.body, self._centers, self._scales = body, c, s
+        self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
-        return len(self.placements)
+        return len(self._scales)
+
+    def __repr__(self) -> str:
+        return (f"Family({self.body!r}, {self._centers.tolist()}, "
+                f"{self._scales.tolist()}, {self.meta!r})")
+
+    def centers(self) -> np.ndarray:
+        return self._centers
+
+    def scales(self) -> np.ndarray:
+        return self._scales
 
     @property
     def is_translate_family(self) -> bool:
-        scales = {p.scale for p in self.placements}
-        return len(scales) <= 1
+        return not len(self) or bool((self._scales == self._scales[0]).all())
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centers (one row per member) and scales, built once, read-only."""
-        centers = np.array([p.center for p in self.placements], float).reshape(-1, self.body.dimension)
-        scales = np.array([p.scale for p in self.placements], float)
-        centers.setflags(write=False)
-        scales.setflags(write=False)
-        return centers, scales
-
-    def centers(self) -> np.ndarray:
-        return self._arrays[0]
-
-    def scales(self) -> np.ndarray:
-        return self._arrays[1]
+    def placements(self) -> tuple[Placement, ...]:
+        """The members as Placements, derived on first use; no library path reads them."""
+        return tuple(map(Placement, map(tuple, self._centers.tolist()), self._scales.tolist()))
 
     def to_json(self) -> dict:
-        return {
-            "body": self.body.to_json(),
-            "placements": [
-                {"center": list(p.center), "scale": p.scale} for p in self.placements
-            ],
-            "meta": dict(self.meta),
-        }
+        members = zip(self._centers.tolist(), self._scales.tolist())
+        return {"body": self.body.to_json(),
+                "placements": [{"center": c, "scale": s} for c, s in members],
+                "meta": dict(self.meta)}
 
     @staticmethod
     def from_json(obj: dict) -> "Family":
-        """Parse a family; a missing field or a value of the wrong JSON type
-        raises GeometryError."""
+        """Parse a family; a missing field, a value of the wrong JSON type (a
+        string or a boolean for a number too) or a center of the wrong
+        dimension raises GeometryError."""
         try:
             body = ConvexBody.from_json(obj["body"])
-            placements = tuple(
-                Placement(center=tuple(p["center"]), scale=float(p.get("scale", 1.0)))
-                for p in obj["placements"]
-            )
+            dim = body.dimension
+            centers = [p["center"] for p in obj["placements"]]
+            scales = [p.get("scale", 1.0) for p in obj["placements"]]
             meta = dict(obj.get("meta", {}))
+            coords = list(chain.from_iterable(centers))
+            if not ({*map(type, centers)} <= {list} and {*map(len, centers)} <= {dim}
+                    and {*map(type, coords)} <= _NUMBERS):
+                raise GeometryError(f"placement centers must be lists of {dim} numbers, "
+                                    f"the body dimension")
+            if not {*map(type, scales)} <= _NUMBERS:
+                raise GeometryError("placement scales must be numbers")
+            return Family(body, np.array(coords, float).reshape(-1, dim), scales, meta)
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise GeometryError(f"malformed family JSON ({type(exc).__name__}: {exc})") from None
-        return Family(body=body, placements=placements, meta=meta)
 
 
 def translates(body: ConvexBody, centers: Sequence[Sequence[float]], meta: dict | None = None) -> Family:
     """Translate family of the body at the given centers (scale 1)."""
-    return Family(
-        body=body,
-        placements=tuple(Placement(center=tuple(c)) for c in centers),
-        meta=meta or {},
-    )
+    return Family(body, centers, np.ones(len(centers)), meta)
 
 
 def dumps_family(family: Family) -> str:
     """The canonical text of `family.to_json()` (see reports.canonical_json).
 
     "placements" sorts after "body" and "meta", so its text is spliced in
-    after theirs.  Every placement has the same lines, so the whole list is
-    one %-template over the flat center coordinates and scales: exact floats
-    through float.__repr__ (Placement admits only finite ones), anything
-    else, such as an int scale, through the writer's scalar_text.
+    after theirs.  Every member has the same lines, so the whole list is one
+    %-template over the rows of [centers | scales]: all finite floats (an int
+    scale was read as its float), written as float.__repr__ writes them.
     """
     head = json_text({"body": family.body.to_json(), "meta": dict(family.meta)})[:-2]
-    if not family.placements:
+    if not len(family):
         return head + ',\n  "placements": []\n}\n'
-    values = [v for p in family.placements for v in (*p.center, p.scale)]
-    texts = map(float.__repr__ if set(map(type, values)) == {float} else scalar_text, values)
-    coords = ",\n        ".join(["%s"] * family.body.dimension)
-    item = f'{{\n      "center": [\n        {coords}\n      ],\n      "scale": %s\n    }}'
-    body = ",\n    ".join([item] * len(family.placements)) % tuple(texts)
+    values = np.column_stack([family.centers(), family.scales()]).ravel().tolist()
+    coords = ",\n        ".join(["%r"] * family.body.dimension)
+    item = f'{{\n      "center": [\n        {coords}\n      ],\n      "scale": %r\n    }}'
+    body = ",\n    ".join([item] * len(family)) % tuple(values)
     return f'{head},\n  "placements": [\n    {body}\n  ]\n}}\n'
 
 

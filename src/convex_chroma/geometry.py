@@ -4,8 +4,8 @@ inscribed-parallelogram fitting.
 Bodies come in three kinds: 2D convex polygons (CCW vertex list), the unit
 disk centered at the origin, and axis-parallel boxes in any dimension
 (described by side lengths, reference point at the center). A family member
-is ``scale * body + center`` given by a Placement. All values are immutable;
-every operation is a pure function.
+is ``scale * body + center``; a `Family` holds them as two arrays. All values
+are immutable; every operation is a pure function.
 
 Every per-kind formula sits behind one private shape interface: `_shape(body)`
 (cached per body) is a `_Polygon`, a `_Disk` or a `_Box`; their base `_Shape`
@@ -106,18 +106,21 @@ class ConvexBody:
 
 @dataclass(frozen=True)
 class Placement:
-    """One homothet scale*C + center; scale > 0, center matches the body dimension."""
+    """One homothet scale*C + center, the pair predicates' value type: a finite
+    center and a scale in (0, inf), all read as floats (an int scale too).  A
+    `Family` is a body plus two read-only float arrays, centers and scales."""
 
     center: tuple[float, ...]
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise GeometryError(f"placement scale must be positive and finite, got {self.scale}")
-        center = tuple(float(c) for c in self.center)
-        if not all(math.isfinite(c) for c in center):
+        scale, center = float(self.scale), tuple(map(float, self.center))
+        if not 0 < scale < math.inf:
+            raise GeometryError(f"placement scale must be positive and finite, got {scale}")
+        if not all(map(math.isfinite, center)):
             raise GeometryError(f"placement center must be finite, got {center}")
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)

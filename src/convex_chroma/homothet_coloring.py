@@ -278,4 +278,4 @@ def symmetrized_family(family: Family,
     if not family.is_translate_family:
         raise GeometryError("the symmetrized method needs a uniform-scale family")
     cert = symmetrized_certificate(family.body, samples=samples)
-    return Family(body=cert.unit, placements=family.placements, meta=dict(family.meta)), cert
+    return Family(cert.unit, family.centers(), family.scales(), dict(family.meta)), cert

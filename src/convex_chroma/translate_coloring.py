@@ -148,8 +148,7 @@ def normalize(family: Family) -> NormalizedFamily:
     matrix, ratio = _shape(body).normalizing_map(body, scale)
     n = body.dimension
     params = BoundParams.from_ratio(n, ratio)
-    centers = family.centers()
-    refs = centers @ matrix.T if len(family) else np.zeros((0, n))
+    refs = family.centers() @ matrix.T
     return NormalizedFamily(family=family, matrix=matrix, refs=refs, params=params)
 
 

@@ -35,6 +35,12 @@ def disk() -> ConvexBody:
     return ConvexBody.disk()
 
 
+def family_of(body: ConvexBody, members, meta: dict | None = None) -> Family:
+    """The family of `body` with the given (center, scale) members."""
+    members = list(members)
+    return Family(body, [c for c, _ in members], [s for _, s in members], meta)
+
+
 def strip_family() -> Family:
     """1,600 unit squares centered on the line x = 0.25: one lattice line and
     one class, whose Kuhn matching needs an augmenting path of 1,274 steps."""

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from convex_chroma import cli, covering, geometry, graph_core, translate_coloring
 from convex_chroma.cli import EXIT_CAPPED, EXIT_FAULT, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from convex_chroma.constructions import pentagon_family, random_family
-from convex_chroma.families import Family, load_family, save_family
-from convex_chroma.geometry import ConsistencyError, ConvexBody, Placement
+from convex_chroma.families import load_family, save_family, translates
+from convex_chroma.geometry import ConsistencyError, ConvexBody
 from convex_chroma.graph_core import build_graph, from_dimacs
-from conftest import strip_family
+from conftest import family_of, strip_family
 
 
 def run(args: list[str]) -> int:
@@ -224,10 +224,10 @@ class TestVerify:
         # pentagon k=3 plus 1,050 isolated squares: nu = 1,052, and the
         # colorings of the graph and its complement stack ~1,000 frames
         fam = pentagon_family(3)
-        extra = tuple(Placement((10.0 + 3 * (i % 35), 10.0 + 3 * (i // 35)), 1.0)
-                      for i in range(1050))
+        i = np.arange(1050)
+        extra = np.column_stack([10.0 + 3 * (i % 35), 10.0 + 3 * (i // 35)])
         path = tmp_path / "big.json"
-        save_family(Family(body=fam.body, placements=fam.placements + extra), path)
+        save_family(translates(fam.body, np.vstack([fam.centers(), extra])), path)
         out = tmp_path / "r.json"
         assert run(["verify", "--in", str(path), "--caps", "omega=2000,chi=2000",
                     "--out", str(out)]) == EXIT_OK
@@ -275,6 +275,28 @@ class TestMalformedInput:
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("placement, message", [
+        ('{"center": ["1", 0], "scale": 1}', "centers must be lists of 2 numbers"),
+        ('{"center": [0.5, 0.5], "scale": "2"}', "scales must be numbers"),
+        ('{"center": [true, 0], "scale": 1}', "centers must be lists of 2 numbers"),
+        ('{"center": [0.5, 0.5], "scale": true}', "scales must be numbers"),
+        ('{"center": [0.5, 0.5, 0.5], "scale": 1}', "lists of 2 numbers, the body dimension"),
+        ('{"center": [[0], [0]], "scale": 1}', "lists of 2 numbers, the body dimension"),
+    ], ids=["string-coordinate", "string-scale", "boolean-coordinate", "boolean-scale",
+            "ragged-centers", "nested-center"])
+    def test_non_numbers_and_wrong_shapes_exit_4_with_one_line(self, placement, message,
+                                                                 tmp_path, capsys):
+        fam = tmp_path / "bad.json"
+        fam.write_text('{"body": {"kind": "box", "sides": [1, 1]}, '
+                       '"placements": [{"center": [0.5, 0.5], "scale": 1}, '
+                       f'{placement}], "meta": {{}}}}\n')
+        out = tmp_path / "r.json"
+        assert run(["color", "--in", str(fam), "--method", "homothets",
+                    "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert not out.exists()
+
 
 def _raise(exc: Exception):
     def raising(*args, **kwargs):
@@ -290,15 +312,15 @@ class TestExitCodes:
     def far(self, tmp_path):
         # centers at 1e300: beyond the float resolution of the lattice offsets
         path = tmp_path / "far.json"
-        save_family(Family(body=ConvexBody.unit_square(), placements=(
-            Placement((1e300, 1e300)), Placement((1e300, -1e300)))), path)
+        save_family(translates(ConvexBody.unit_square(), [(1e300, 1e300), (1e300, -1e300)]),
+                    path)
         return path
 
     @pytest.fixture
     def mixed(self, tmp_path):
         path = tmp_path / "mixed.json"
-        save_family(Family(body=ConvexBody.unit_square(), placements=(
-            Placement((0.0, 0.0), 1.0), Placement((0.5, 0.5), 2.0))), path)
+        save_family(family_of(ConvexBody.unit_square(), [((0.0, 0.0), 1.0), ((0.5, 0.5), 2.0)]),
+                    path)
         return path
 
     @pytest.fixture
@@ -375,8 +397,8 @@ class TestExitCodes:
         # end in exit 4, quickly, not in a MemoryError
         pytest.importorskip("resource")
         path = tmp_path / "thin.json"
-        save_family(Family(body=ConvexBody.polygon([(0, 0), (1, 0), (1, 0.001)]),
-                           placements=(Placement((0.0, 0.0)),)), path)
+        save_family(translates(ConvexBody.polygon([(0, 0), (1, 0), (1, 0.001)]), [(0.0, 0.0)]),
+                    path)
         limit = 2 << 30
         script = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))"
                   f"; from convex_chroma.cli import main; sys.exit(main(sys.argv[1:]))")

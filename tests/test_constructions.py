@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -224,6 +225,14 @@ class TestRandomFamily:
         with pytest.raises(GeometryError):
             random_family(unit_square, 2, (0, 5), seed=0, margin=5.0)
 
+    @pytest.mark.parametrize("window, scale_range", [
+        ((0, math.inf), (1, 1)), ((math.nan, 5), (1, 1)), ((0, 5), (-1, 1)),
+        ((0, 5), (1, math.inf)), ((0, 5), (math.nan, 1)),
+    ], ids=["infinite-window", "nan-window", "negative-scale", "infinite-scale", "nan-scale"])
+    def test_invalid_ranges_rejected_before_any_draw(self, unit_square, window, scale_range):
+        with pytest.raises(GeometryError, match="finite window"):
+            random_family(unit_square, 1000, window, scale_range=scale_range)
+
 
 class TestFamilyIO:
     def test_round_trip_byte_stable(self, tmp_path, triangle):
@@ -236,4 +245,38 @@ class TestFamilyIO:
 
     def test_dimension_mismatch(self, unit_square):
         with pytest.raises(GeometryError):
-            Family(body=unit_square, placements=(Placement((0, 0, 0)),))
+            Family(unit_square, [(0, 0, 0)], [1.0])
+
+    @pytest.mark.parametrize("centers", [[(0, 0), (0, 0, 0)], [[[0], [0]]], [0, 0], [[]],
+                                         np.zeros((0, 3))],
+                             ids=["ragged", "nested", "flat", "no-coordinates",
+                                  "empty-of-another-dimension"])
+    def test_centers_of_another_shape_name_the_dimension(self, unit_square, centers):
+        with pytest.raises(GeometryError, match="dimension"):
+            Family(unit_square, centers, [1.0] * len(centers))
+
+    @pytest.mark.parametrize("centers, scales", [
+        ([(0, float("nan"))], [1.0]), ([(float("inf"), 0)], [1.0]),
+        ([(0, 0)], [0.0]), ([(0, 0)], [-1.0]), ([(0, 0)], [float("inf")]),
+        ([(0, 0)], [float("nan")]), ([(0, 0)], [1.0, 1.0]),
+    ], ids=["nan-center", "infinite-center", "zero-scale", "negative-scale",
+            "infinite-scale", "nan-scale", "extra-scale"])
+    def test_invalid_members_rejected(self, unit_square, centers, scales):
+        with pytest.raises(GeometryError):
+            Family(unit_square, centers, scales)
+
+    def test_members_are_read_only_float_copies(self, unit_square):
+        centers, scales = np.array([[0, 0], [1, 2]]), [1, 2]
+        fam = Family(unit_square, centers, scales)
+        centers[0, 0] = 5
+        assert fam.centers().tolist() == [[0.0, 0.0], [1.0, 2.0]]
+        assert fam.scales().tolist() == [1.0, 2.0]
+        for arr in (fam.centers(), fam.scales()):
+            assert arr.dtype == float and not arr.flags.writeable
+        assert fam.placements == (Placement((0, 0), 1.0), Placement((1, 2), 2.0))
+        assert len(fam) == 2 and not fam.is_translate_family
+
+    def test_empty_family(self, unit_square):
+        fam = Family(unit_square, [], [])
+        assert len(fam) == 0 and fam.is_translate_family and fam.centers().shape == (0, 2)
+        assert Family.from_json(json.loads(dumps_family(fam))).centers().shape == (0, 2)

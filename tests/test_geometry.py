@@ -282,6 +282,11 @@ class TestValidationAndJson:
         with pytest.raises(GeometryError):
             Placement((0, 0), scale=-1.0)
 
+    def test_center_and_scale_are_read_as_floats(self):
+        p = Placement((1, 0), 2)
+        assert p == Placement((1.0, 0.0), 2.0)
+        assert {type(v) for v in (*p.center, p.scale)} == {float}
+
     @pytest.mark.parametrize("make", [
         lambda: ConvexBody.polygon([(0, 0), (1, 0), (0, float("nan"))]),
         lambda: ConvexBody.box((1.0, float("inf"))),
@@ -344,8 +349,7 @@ def tangent_mixed_squares() -> Family:
     rng = np.random.default_rng(0)
     centers = rng.integers(0, 12, size=(60, 2)) / 4.0
     scales = rng.integers(1, 4, size=60) / 2.0
-    return Family(body=SQUARE_POLYGON, placements=tuple(
-        Placement(tuple(c), float(s)) for c, s in zip(centers, scales)))
+    return Family(SQUARE_POLYGON, centers, scales)
 
 
 GRID_BODIES = {
@@ -662,9 +666,7 @@ class TestColumnKernels:
         families = [
             grid_family(box2, 3),
             random_family(ConvexBody.unit_square(), 60, (0.0, 6.0), scale_range=(0.3, 2.0), seed=4),
-            Family(body=box3, placements=tuple(
-                Placement(tuple(c), float(s)) for c, s in
-                zip(rng.integers(0, 8, size=(80, 3)) / 4.0, rng.integers(1, 4, size=80) / 2.0))),
+            Family(box3, rng.integers(0, 8, size=(80, 3)) / 4.0, rng.integers(1, 4, size=80) / 2.0),
         ]
         for family in families:
             centers, scales = family.centers(), family.scales()

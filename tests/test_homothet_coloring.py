@@ -43,6 +43,7 @@ from convex_chroma.homothet_coloring import (
     symmetrized_family,
 )
 from convex_chroma.reports import PartitionReport
+from conftest import family_of
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +57,12 @@ def disk_cert():
 
 
 def nested_squares(k: int) -> Family:
-    return Family(
-        body=ConvexBody.unit_square(),
-        placements=tuple(Placement((0.0, 0.0), 1.0 + 0.5 * i) for i in range(k)),
-    )
+    return family_of(ConvexBody.unit_square(), (((0.0, 0.0), 1.0 + 0.5 * i) for i in range(k)))
 
 
 class TestSizeOrder:
     def test_sorted_with_index_ties(self, unit_square):
-        fam = Family(body=unit_square, placements=(
-            Placement((0, 0), 2.0), Placement((1, 0), 1.0), Placement((2, 0), 1.0),
-        ))
+        fam = family_of(unit_square, [((0, 0), 2.0), ((1, 0), 1.0), ((2, 0), 1.0)])
         assert size_order(fam) == (1, 2, 0)
 
 
@@ -127,7 +123,7 @@ class TestPiercing:
             cand = Placement(center, scale)
             if homothets_intersect(disk, placements[0], cand):
                 placements.append(cand)
-        fam = Family(body=disk, placements=tuple(placements))
+        fam = family_of(disk, ((p.center, p.scale) for p in placements))
         piercing = pierce_intersecting_smallest(fam, list(range(20)), disk_cert)
         assert not piercing.fallback_used
         assert len(piercing.classes()) <= 7
@@ -204,9 +200,7 @@ class TestCliquePartitionHomothets:
         assert rep.rounds == 3 and rep.classes_used == 3
 
     def test_nested_disks_one_round(self, disk, disk_cert):
-        fam = Family(body=disk, placements=tuple(
-            Placement((0.0, 0.0), 1.0 + 0.3 * i) for i in range(6)
-        ))
+        fam = family_of(disk, (((0.0, 0.0), 1.0 + 0.3 * i) for i in range(6)))
         rep = clique_partition_homothets(fam, disk_cert)
         assert rep.rounds == 1 and rep.classes_used == 1
 
@@ -274,9 +268,7 @@ class TestSymmetrizedPath:
         assert rep.colors_used == 1
 
     def test_rejects_homothets(self, unit_square):
-        fam = Family(body=unit_square, placements=(
-            Placement((0, 0), 1.0), Placement((1, 1), 2.0),
-        ))
+        fam = family_of(unit_square, [((0, 0), 1.0), ((1, 1), 2.0)])
         with pytest.raises(GeometryError, match="symmetrized method"):
             symmetrized_family(fam)
 
@@ -468,8 +460,7 @@ def round_families(draw) -> Family:
     else:
         centers = rng.uniform(0.0, side, size=size)
         scales = rng.uniform(0.3, 2.0, size=n)
-    return Family(body=body, placements=tuple(
-        Placement(tuple(c), float(s)) for c, s in zip(centers.tolist(), scales)))
+    return Family(body, centers, scales)
 
 
 class TestRoundsMatchTheReference:
@@ -499,8 +490,7 @@ class TestRoundsMatchTheReference:
 
     def test_nested_disks(self):
         disk = ROUND_BODIES["disk"]
-        family = Family(body=disk, placements=tuple(
-            Placement((0.1 * i, 0.0), 1.0 + 0.1 * i) for i in range(12)))
+        family = family_of(disk, (((0.1 * i, 0.0), 1.0 + 0.1 * i) for i in range(12)))
         rep = assert_rounds_match_the_reference(family, round_certificate(disk))
         assert rep.rounds == 1
 

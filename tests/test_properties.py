@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from convex_chroma.constructions import random_family
 from convex_chroma.families import Family, dumps_family, family_digest
-from convex_chroma.geometry import ConvexBody, Placement
+from convex_chroma.geometry import ConvexBody
 from convex_chroma.graph_core import IntersectionGraph, build_graph, from_dimacs, to_dimacs
 from convex_chroma.reports import canonical_json
-from conftest import graph_matrix, random_graph
+from conftest import family_of, graph_matrix, random_graph
 
 BODIES = {
     "triangle": ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]),
@@ -44,8 +44,7 @@ def families(draw) -> Family:
 
 
 def moved(family: Family, centers: np.ndarray, scales: np.ndarray) -> Family:
-    return Family(body=family.body, placements=tuple(
-        Placement(tuple(float(x) for x in c), float(s)) for c, s in zip(centers, scales)))
+    return Family(family.body, centers, scales)
 
 
 coordinates = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -92,13 +91,14 @@ def raw_families(draw, scales=positive) -> Family:
     """Any valid family of the test bodies: centers anywhere in float range,
     scales drawn from `scales`, meta of null, numbers, text and lists."""
     body = BODIES[draw(st.sampled_from(sorted(BODIES)))]
-    placements = draw(st.lists(
-        st.builds(Placement, st.tuples(*[finite] * body.dimension), scales), max_size=20))
+    members = draw(st.lists(st.tuples(st.tuples(*[finite] * body.dimension), scales),
+                            max_size=20))
     meta = draw(st.dictionaries(st.text(max_size=5), meta_values, max_size=3))
-    return Family(body=body, placements=tuple(placements), meta=meta)
+    return family_of(body, members, meta)
 
 
-@given(raw_families())
+@given(raw_families(positive | st.integers(min_value=1, max_value=10**6)))
+@example(family_of(BODIES["square"], [((0.0, 0.0), 2)], meta={}))
 def test_family_json_round_trip_keeps_the_digest(family):
     again = Family.from_json(json.loads(dumps_family(family)))
     assert family_digest(again) == family_digest(family)
@@ -109,8 +109,8 @@ def stdlib_json(value) -> str:
 
 
 @given(raw_families(positive | st.integers(min_value=1, max_value=10**6)))
-@example(Family(body=BODIES["box3"], placements=(), meta={"n": None}))
-@example(Family(body=BODIES["disk"], placements=(Placement((0.0, -0.0), 2),), meta={}))
+@example(Family(BODIES["box3"], [], [], meta={"n": None}))
+@example(family_of(BODIES["disk"], [((0.0, -0.0), 2)], meta={}))
 def test_family_text_is_the_stdlib_text(family):
     text = dumps_family(family)
     assert text == stdlib_json(family.to_json())

@@ -14,7 +14,6 @@ from convex_chroma.geometry import (
     ConsistencyError,
     ConvexBody,
     GeometryError,
-    Placement,
     homothets_intersect,
     pair_margin,
     pairwise_adjacency,
@@ -46,7 +45,7 @@ from convex_chroma.translate_coloring import (
     normalize,
     translate_pipeline,
 )
-from conftest import strip_family
+from conftest import family_of, strip_family
 
 
 def make_normalized(refs: np.ndarray, params: BoundParams, family=None) -> NormalizedFamily:
@@ -144,12 +143,12 @@ class TestNormalize:
         assert (p.M, p.c, p.t_bound) == (3, 2, 6)
 
     def test_scaled_translates(self, unit_square):
-        fam = Family(body=unit_square, placements=(Placement((0, 0), 2.0), Placement((3, 0), 2.0)))
+        fam = family_of(unit_square, [((0, 0), 2.0), ((3, 0), 2.0)])
         nf = normalize(fam)
         assert np.allclose(nf.refs, [[0, 0], [1.5, 0]])
 
     def test_rejects_homothets(self, unit_square):
-        fam = Family(body=unit_square, placements=(Placement((0, 0), 1.0), Placement((3, 0), 2.0)))
+        fam = family_of(unit_square, [((0, 0), 1.0), ((3, 0), 2.0)])
         with pytest.raises(GeometryError):
             normalize(fam)
 
@@ -317,8 +316,7 @@ class TestPoset:
     ], ids=["triangle", "disk", "irregular-5-gon"])
     def test_relation_matches_the_per_class_adjacency_on_tangent_grids(self, body, scale):
         grid = grid_family(body, 2)
-        fam = Family(body=body, placements=tuple(Placement(tuple(c), scale)
-                                                 for c in grid.centers()))
+        fam = Family(body, grid.centers(), np.full(len(grid), scale))
         nf = normalize(fam)
         g = build_graph(fam)
         tangent = 0
@@ -583,8 +581,7 @@ class TestPartitionsMatchTheScalarReference:
     @pytest.mark.parametrize("m", [2, 3])
     def test_tangent_grids(self, body, scale, m):
         grid = grid_family(body, m)
-        fam = Family(body=body, placements=tuple(Placement(tuple(c), scale)
-                                                 for c in grid.centers()))
+        fam = Family(body, grid.centers(), np.full(len(grid), scale))
         nf = normalize(fam)
         g = build_graph(fam)
         for seed in range(3):
@@ -681,8 +678,7 @@ def translate_families(draw) -> tuple[Family, int]:
     else:
         centers = rng.uniform(0.0, side, size=size)
     scale = draw(st.sampled_from([0.5, 1.0]))
-    family = Family(body=body, placements=tuple(Placement(tuple(c), scale)
-                                                for c in centers.tolist()))
+    family = Family(body, centers, np.full(len(centers), scale))
     return family, draw(st.integers(min_value=0, max_value=3))
 
 
