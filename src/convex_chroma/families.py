@@ -42,12 +42,13 @@ class Family:
         if not np.isfinite(c).all():
             bad = c[~np.isfinite(c).all(axis=1)][0]
             raise GeometryError(f"placement center must be finite, got {tuple(bad.tolist())}")
-        if len(s) and not (s.min() > 0 and s.max() < math.inf):  # NaN fails both
+        lo, hi = (s.min(), s.max()) if len(s) else (1.0, 1.0)
+        if not (lo > 0 and hi < math.inf):  # a NaN fails both
             bad = s[~((s > 0) & (s < math.inf))][0]
             raise GeometryError(f"placement scale must be positive and finite, got {bad}")
         c.setflags(write=False)
         s.setflags(write=False)
-        self.body, self._centers, self._scales = body, c, s
+        self.body, self._centers, self._scales, self._uniform = body, c, s, bool(lo == hi)
         self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
@@ -65,7 +66,7 @@ class Family:
 
     @property
     def is_translate_family(self) -> bool:
-        return not len(self) or bool((self._scales == self._scales[0]).all())
+        return self._uniform
 
     @cached_property
     def placements(self) -> tuple[Placement, ...]:
