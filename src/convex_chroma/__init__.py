@@ -11,9 +11,7 @@ from .covering import (
     verify_certificate,
 )
 from .constructions import (
-    DensityReport,
     VolumeRatioReport,
-    density,
     explicit_pentagon_coloring,
     grid_family,
     pentagon_disjoint_family,
@@ -28,7 +26,6 @@ from .geometry import (
     GeometryError,
     ParallelogramFit,
     Placement,
-    area,
     containment_ratio,
     homothets_intersect,
     inscribed_parallelogram,

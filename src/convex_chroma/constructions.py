@@ -1,5 +1,4 @@
-"""Generators for the lower-bound families, packing densities, and seeded
-random families.
+"""Generators for the lower-bound families and seeded random families.
 
 The pentagon families realize the C5 blow-up intersection pattern with unit
 squares on a circumradius-0.8 pentagon: consecutive centers sit within
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family, translates
-from .geometry import ConvexBody, GeometryError, _shape, homothet_margins, pairwise_adjacency
+from .geometry import ConvexBody, GeometryError, homothet_margins, pairwise_adjacency
 from .graph_core import SolverCaps, build_graph, clique_cover_number, max_clique
 
 GRID_MEMBER_CAP = 4096
@@ -108,35 +107,6 @@ def explicit_pentagon_coloring(k: int) -> tuple[int, ...]:
     for g in range(5):
         colors.extend(group_colors[g][:k])
     return tuple(colors)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    rho: float
-    member_measures: tuple[float, ...]
-    domain_lo: tuple[float, ...]
-    domain_hi: tuple[float, ...]
-    domain_measure: float
-
-
-def density(family: Family, domain_lo, domain_hi) -> DensityReport:
-    """Packing density of the family relative to the box [lo, hi]:
-    sum of clipped member measures over the domain measure."""
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
-    if lo.shape != hi.shape or (hi <= lo).any():
-        raise ValueError("domain box must have positive extent on every axis")
-    shape = _shape(family.body)
-    measures = tuple(shape.clipped_measure(c, s, lo, hi)
-                     for c, s in zip(family.centers(), family.scales().tolist()))
-    domain_measure = float(np.prod(hi - lo))
-    return DensityReport(
-        rho=float(sum(measures) / domain_measure),
-        member_measures=measures,
-        domain_lo=tuple(float(v) for v in lo),
-        domain_hi=tuple(float(v) for v in hi),
-        domain_measure=domain_measure,
-    )
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import ConvexBody, GeometryError, Placement
+from .geometry import ConvexBody, GeometryError, number_array, numbers_only
 from .reports import json_text
-
-_NUMBERS = {int, float}  # the JSON number types; bool is neither
 
 
 class Family:
@@ -24,17 +21,19 @@ class Family:
 
     `centers()` holds one row of body.dimension finite coordinates per member
     and `scales()` one scale in (0, inf) per member, both read-only float
-    arrays.  If every scale is equal the family is a translate family.
-    Families compare and hash by identity.
+    arrays, read from arrays of an int or float dtype or from sequences of
+    ints and floats (`number_array`).  If every scale is equal the family is
+    a translate family.  Families compare and hash by identity.
     """
 
     def __init__(self, body: ConvexBody, centers, scales, meta: dict | None = None):
         dim = body.dimension
-        try:
-            c, s = np.array(centers, dtype=float), np.array(scales, dtype=float)
-        except ValueError:  # ragged or nested rows
+        c, s = number_array(centers), number_array(scales)
+        if c is None:  # not numbers, or ragged rows
             raise GeometryError(f"placement centers must each hold {dim} numbers, "
-                                f"the body dimension") from None
+                                f"the body dimension")
+        if s is None:
+            raise GeometryError("placement scales must be numbers")
         c = c.reshape(0, dim) if c.shape == (0,) else c
         if c.shape[1:] != (dim,) or s.shape != c.shape[:1]:
             raise GeometryError(f"centers of shape {c.shape} and scales of shape {s.shape} "
@@ -68,11 +67,6 @@ class Family:
     def is_translate_family(self) -> bool:
         return self._uniform
 
-    @cached_property
-    def placements(self) -> tuple[Placement, ...]:
-        """The members as Placements, derived on first use; no library path reads them."""
-        return tuple(map(Placement, map(tuple, self._centers.tolist()), self._scales.tolist()))
-
     def to_json(self) -> dict:
         members = zip(self._centers.tolist(), self._scales.tolist())
         return {"body": self.body.to_json(),
@@ -92,11 +86,9 @@ class Family:
             meta = dict(obj.get("meta", {}))
             coords = list(chain.from_iterable(centers))
             if not ({*map(type, centers)} <= {list} and {*map(len, centers)} <= {dim}
-                    and {*map(type, coords)} <= _NUMBERS):
+                    and numbers_only(coords)):
                 raise GeometryError(f"placement centers must be lists of {dim} numbers, "
                                     f"the body dimension")
-            if not {*map(type, scales)} <= _NUMBERS:
-                raise GeometryError("placement scales must be numbers")
             return Family(body, np.array(coords, float).reshape(-1, dim), scales, meta)
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise GeometryError(f"malformed family JSON ({type(exc).__name__}: {exc})") from None

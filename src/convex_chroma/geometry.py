@@ -41,6 +41,25 @@ class GeometryError(ValueError):
     """Input the program rejects (degenerate polygon, dimension mismatch...)."""
 
 
+_NUMBER_CODES = np.typecodes["AllInteger"] + np.typecodes["Float"]  # NumPy's ints and floats
+_NUMBERS = {int, float, *(np.dtype(code).type for code in _NUMBER_CODES)}
+
+
+def numbers_only(values) -> bool:
+    """Whether every one of `values` is a number: a Python int or float or a
+    NumPy integer or float scalar, never a bool or a string."""
+    return {*map(type, values)} <= _NUMBERS
+
+
+def number_array(values) -> np.ndarray | None:
+    """`values` as a new float array, or None unless they are numbers: an
+    array of an int or float dtype, or (nested) sequences of numbers."""
+    if isinstance(values, np.ndarray):
+        return values.astype(float) if values.dtype.char in _NUMBER_CODES else None
+    values = np.array(values, dtype=object)
+    return values.astype(float) if numbers_only(values.ravel().tolist()) else None
+
+
 class ConsistencyError(RuntimeError):
     """A computed result broke a condition that holds by construction: a
     program fault, never invalid input."""
@@ -107,14 +126,18 @@ class ConvexBody:
 @dataclass(frozen=True)
 class Placement:
     """One homothet scale*C + center, the pair predicates' value type: a finite
-    center and a scale in (0, inf), all read as floats (an int scale too).  A
-    `Family` is a body plus two read-only float arrays, centers and scales."""
+    center and a scale in (0, inf), given as numbers (`number_array`) and read
+    as floats (an int scale too).  A `Family` is a body plus two read-only
+    float arrays, centers and scales."""
 
     center: tuple[float, ...]
     scale: float = 1.0
 
     def __post_init__(self):
-        scale, center = float(self.scale), tuple(map(float, self.center))
+        center, scale = number_array(self.center), number_array(self.scale)
+        if center is None or scale is None or center.ndim != 1 or scale.ndim:
+            raise GeometryError(f"placement center and scale must be numbers, not {self!r}")
+        scale, center = float(scale), tuple(center.tolist())
         if not 0 < scale < math.inf:
             raise GeometryError(f"placement scale must be positive and finite, got {scale}")
         if not all(map(math.isfinite, center)):
@@ -192,13 +215,6 @@ def _edge_normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = np.einsum("ij,ij->i", normals, verts)
     return normals, offsets
-
-
-def points_in_polygon(verts: np.ndarray, pts: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Closed containment test for an array of points against a CCW polygon."""
-    normals, offsets = _edge_normals(verts)
-    margins = offsets[None, :] - pts @ normals.T
-    return (margins >= -tol).all(axis=1)
 
 
 _Margins = Callable[[np.ndarray], np.ndarray]
@@ -315,10 +331,6 @@ class _Polygon(_Shape):
     def support(self, d: np.ndarray) -> float:
         return float((self.verts @ d).max())
 
-    def area(self) -> float:
-        x, y = self.verts[:, 0], self.verts[:, 1]
-        return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
     def reflect(self, body: ConvexBody) -> ConvexBody:
         # negation is a 180-degree rotation, so CCW order is preserved
         return ConvexBody(kind="polygon2d", vertices=tuple((-x, -y) for x, y in body.vertices))
@@ -391,7 +403,8 @@ class _Polygon(_Shape):
             raise ConsistencyError(f"no inscribed parallelogram with ratio <= 2 found (best {got})")
         c, u, v = (np.asarray(p) for p in (best.center, best.u, best.v))
         corners = np.array([c + a * u + b * v for a in (-1, 1) for b in (-1, 1)])
-        if not points_in_polygon(self.verts, corners, tol=1e-6).all():
+        normals, offsets = self.facets
+        if not (offsets - corners @ normals.T >= -1e-6).all():
             raise ConsistencyError("inscribed parallelogram verification failed")
         return best
 
@@ -503,45 +516,10 @@ class _Polygon(_Shape):
         pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in scale * self.verts + center)
         return f'<polygon points="{pts}" {style}/>'
 
-    def clipped_measure(self, center: np.ndarray, scale: float,
-                        lo: np.ndarray, hi: np.ndarray) -> float:
-        """Area of scale*C + center inside the box [lo, hi]: Sutherland-Hodgman
-        clipping, then the shoelace formula."""
-        poly = [tuple(v) for v in scale * self.verts + center]
-        planes = [
-            (np.array([1.0, 0.0]), hi[0]),
-            (np.array([-1.0, 0.0]), -lo[0]),
-            (np.array([0.0, 1.0]), hi[1]),
-            (np.array([0.0, -1.0]), -lo[1]),
-        ]
-        for normal, offset in planes:
-            if not poly:
-                return 0.0
-            out = []
-            for idx in range(len(poly)):
-                cur = np.asarray(poly[idx])
-                nxt = np.asarray(poly[(idx + 1) % len(poly)])
-                cur_in = normal @ cur <= offset
-                nxt_in = normal @ nxt <= offset
-                if cur_in:
-                    out.append(tuple(cur))
-                if cur_in != nxt_in:
-                    t = (offset - normal @ cur) / (normal @ (nxt - cur))
-                    out.append(tuple(cur + t * (nxt - cur)))
-            poly = out
-        if len(poly) < 3:
-            return 0.0
-        arr = np.array(poly)
-        x, y = arr[:, 0], arr[:, 1]
-        return float(abs(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
 
 class _Disk(_Shape):
     def support(self, d: np.ndarray) -> float:
         return float(np.linalg.norm(d))
-
-    def area(self) -> float:
-        return math.pi
 
     def scale(self, body: ConvexBody, factor: float) -> ConvexBody:
         raise GeometryError("the disk has a fixed unit radius; scale via Placement instead")
@@ -597,23 +575,6 @@ class _Disk(_Shape):
     def svg_element(self, center: np.ndarray, scale: float, style: str) -> str:
         return f'<circle cx="{center[0]:.6f}" cy="{center[1]:.6f}" r="{scale:.6f}" {style}/>'
 
-    def clipped_measure(self, center: np.ndarray, scale: float,
-                        lo: np.ndarray, hi: np.ndarray) -> float:
-        """Area of the disk inside the box by adaptive quadrature (1e-6 relative)."""
-        from scipy.integrate import quad
-
-        a = max(lo[0], center[0] - scale)
-        b = min(hi[0], center[0] + scale)
-        if a >= b:
-            return 0.0
-
-        def height(x: float) -> float:
-            dy = math.sqrt(max(scale * scale - (x - center[0]) ** 2, 0.0))
-            return max(0.0, min(hi[1], center[1] + dy) - max(lo[1], center[1] - dy))
-
-        value, _ = quad(height, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
-        return float(value)
-
 
 class _Box(_Shape):
     def __init__(self, sides: tuple[float, ...]):
@@ -623,9 +584,6 @@ class _Box(_Shape):
 
     def support(self, d: np.ndarray) -> float:
         return float(np.abs(d) @ self.half)
-
-    def area(self) -> float:
-        return float(np.prod(self.sides))
 
     def scale(self, body: ConvexBody, factor: float) -> ConvexBody:
         return ConvexBody.box(tuple(factor * s for s in body.sides))
@@ -699,12 +657,6 @@ class _Box(_Shape):
                           for mask in range(1 << n)])
         return centers[:, None, :] + signs * half[:, None, :]
 
-    def clipped_measure(self, center: np.ndarray, scale: float,
-                        lo: np.ndarray, hi: np.ndarray) -> float:
-        half = scale * np.asarray(self.sides) / 2.0
-        overlap = np.minimum(hi, center + half) - np.maximum(lo, center - half)
-        return float(np.prod(np.maximum(overlap, 0.0)))
-
 
 @lru_cache(maxsize=4096)
 def _shape(body: ConvexBody) -> _Shape:
@@ -714,11 +666,6 @@ def _shape(body: ConvexBody) -> _Shape:
     if body.kind == "disk":
         return _Disk()
     return _Box(body.sides)
-
-
-def area(body: ConvexBody) -> float:
-    """Lebesgue measure of the body (area in 2D, volume for boxes)."""
-    return _shape(body).area()
 
 
 def reflect(body: ConvexBody) -> ConvexBody:

@@ -705,6 +705,29 @@ class TestExport:
         assert rows[1:5] == ["omega,4,False,,", "alpha,6,False,,",
                              "chi,,True,4,4", "theta,,True,6,6"]
 
+    def test_disk_and_square_commands_import_no_scipy(self, grid2, tmp_path):
+        # the disk's and the box's fits and covers are closed forms, so a
+        # fresh process verifies and exports them without importing scipy
+        disk = tmp_path / "disk.json"
+        save_family(random_family(ConvexBody.disk(), 20, (0, 6), seed=3), disk)
+        script = (
+            "import sys\n"
+            "from convex_chroma.cli import main\n"
+            "disk, grid, out = sys.argv[1:]\n"
+            "codes = [main(['verify', '--in', disk, '--out', out + '-disk.json']),\n"
+            "         main(['verify', '--in', grid, '--out', out + '-grid.json']),\n"
+            "         main(['export', '--in', disk, '--format', 'csv', '--out', out + '.csv'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script, str(disk), str(grid2),
+                               str(tmp_path / "r")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} []"
+        assert (tmp_path / "r.csv").read_text().startswith("invariant,value,capped")
+
 
 class TestFamilyRoundTrip:
     def test_load_save_byte_stable(self, pentagon2, tmp_path):

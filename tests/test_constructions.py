@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from convex_chroma.constructions import (
-    density,
     explicit_pentagon_coloring,
     grid_family,
     pentagon_disjoint_family,
@@ -19,7 +18,6 @@ from convex_chroma.families import (
     family_digest,
     load_family,
     save_family,
-    translates,
 )
 from convex_chroma.geometry import GeometryError, Placement, pair_margin
 from convex_chroma.graph_core import (
@@ -36,7 +34,7 @@ class TestGridFamily:
     def test_m1_single_member(self, unit_square):
         fam = grid_family(unit_square, 1)
         assert len(fam) == 1
-        assert fam.placements[0].center == (1.0, 1.0)
+        assert fam.centers().tolist() == [[1.0, 1.0]]
 
     def test_m2_square_invariants(self, unit_square):
         fam = grid_family(unit_square, 2)
@@ -102,7 +100,7 @@ class TestPentagonFamilies:
 
     def test_jitter_keeps_members_distinct(self):
         fam = pentagon_family(3)
-        assert len({p.center for p in fam.placements}) == 15
+        assert len({*map(tuple, fam.centers().tolist())}) == 15
 
 
 class TestExplicitColoring:
@@ -123,63 +121,6 @@ class TestExplicitColoring:
         for group in range(5):
             block = colors[group * 7:(group + 1) * 7]
             assert len(set(block)) == 7
-
-
-class TestDensity:
-    def test_unit_square_in_two_box(self, unit_square):
-        fam = translates(unit_square, [(1.0, 1.0)])
-        rep = density(fam, (0, 0), (2, 2))
-        assert rep.rho == pytest.approx(0.25)
-
-    def test_empty_family(self, unit_square):
-        rep = density(translates(unit_square, []), (0, 0), (1, 1))
-        assert rep.rho == 0.0
-
-    def test_grid_against_monte_carlo(self, unit_square):
-        fam = grid_family(unit_square, 2)
-        lo, hi = (0.0, 0.0), (2.5, 2.5)
-        rep = density(fam, lo, hi)
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(lo[0], hi[0], size=(400_000, 2))
-        centers = fam.centers()
-        inside = np.zeros(len(pts))
-        for c in centers:
-            inside += (np.abs(pts - c) <= 0.5).all(axis=1)
-        mc = inside.mean()  # expected sum of member indicators
-        assert rep.rho == pytest.approx(mc, abs=1e-2)
-        exact = sum(rep.member_measures) / rep.domain_measure
-        assert rep.rho == pytest.approx(exact)
-
-    def test_disk_quadrature_full_disk(self, disk):
-        fam = translates(disk, [(0.0, 0.0)])
-        rep = density(fam, (-2, -2), (2, 2))
-        assert rep.member_measures[0] == pytest.approx(math.pi, rel=1e-6)
-
-    def test_disk_quadrature_half_disk(self, disk):
-        fam = translates(disk, [(0.0, 0.0)])
-        rep = density(fam, (0, -2), (2, 2))
-        assert rep.member_measures[0] == pytest.approx(math.pi / 2, rel=1e-6)
-
-    def test_polygon_clipping(self, triangle):
-        fam = translates(triangle, [(0.0, 0.0)])
-        rep = density(fam, (0, 0), (0.5, 0.5))
-        # the quarter box sits under the hypotenuse (its far corner touches it)
-        assert rep.member_measures[0] == pytest.approx(0.25)
-
-    def test_packing_density_at_most_one(self, disk):
-        fam = random_family(disk, 8, (0, 10), seed=12)
-        rep = density(fam, (-1, -1), (11, 11))
-        assert 0.0 <= rep.rho <= 1.0
-
-    def test_monotone_in_family(self, unit_square):
-        small = translates(unit_square, [(1, 1)])
-        large = translates(unit_square, [(1, 1), (3, 3)])
-        lo, hi = (0, 0), (4, 4)
-        assert density(large, lo, hi).rho >= density(small, lo, hi).rho
-
-    def test_degenerate_domain(self, unit_square):
-        with pytest.raises(ValueError):
-            density(translates(unit_square, []), (0, 0), (0, 1))
 
 
 class TestVolumeRatioBounds:
@@ -209,12 +150,14 @@ class TestRandomFamily:
     def test_determinism(self, disk):
         a = random_family(disk, 20, (0, 6), scale_range=(1, 2), seed=42)
         b = random_family(disk, 20, (0, 6), scale_range=(1, 2), seed=42)
-        assert a.placements == b.placements
+        assert np.array_equal(a.centers(), b.centers())
+        assert np.array_equal(a.scales(), b.scales())
 
     def test_margin_scan(self, unit_square):
         fam = random_family(unit_square, 20, (0, 5), seed=42)
+        members = [Placement(tuple(c), s) for c, s in zip(fam.centers(), fam.scales())]
         worst = min(
-            abs(pair_margin(unit_square, fam.placements[i], fam.placements[j]))
+            abs(pair_margin(unit_square, members[i], members[j]))
             for i in range(20) for j in range(i + 1, 20)
         )
         assert worst >= 0.05
@@ -259,11 +202,22 @@ class TestFamilyIO:
         ([(0, float("nan"))], [1.0]), ([(float("inf"), 0)], [1.0]),
         ([(0, 0)], [0.0]), ([(0, 0)], [-1.0]), ([(0, 0)], [float("inf")]),
         ([(0, 0)], [float("nan")]), ([(0, 0)], [1.0, 1.0]),
+        ([["1", True]], ["2"]), ([(1, True)], [2]), ([(1, 0)], [True]), ([(1, 0)], ["2"]),
+        (np.array([["1", "0"]]), [2]), (np.array([[True, False]]), [2]),
+        ([(1, 0)], np.array([True])), ([(np.bool_(True), 0)], [2]),
     ], ids=["nan-center", "infinite-center", "zero-scale", "negative-scale",
-            "infinite-scale", "nan-scale", "extra-scale"])
+            "infinite-scale", "nan-scale", "extra-scale", "strings-and-bool", "bool-coordinate",
+            "bool-scale", "string-scale", "string-array", "bool-array", "bool-scale-array",
+            "numpy-bool"])
     def test_invalid_members_rejected(self, unit_square, centers, scales):
         with pytest.raises(GeometryError):
             Family(unit_square, centers, scales)
+
+    def test_numpy_numbers_are_numbers(self, unit_square):
+        rows = [tuple(np.array([1, 0])), np.array([0.5, 2.0], dtype=np.float32)]
+        fam = Family(unit_square, rows, np.array([2, 3], dtype=np.uint8))
+        assert fam.centers().tolist() == [[1.0, 0.0], [0.5, 2.0]]
+        assert fam.scales().tolist() == [2.0, 3.0]
 
     def test_members_are_read_only_float_copies(self, unit_square):
         centers, scales = np.array([[0, 0], [1, 2]]), [1, 2]
@@ -273,7 +227,8 @@ class TestFamilyIO:
         assert fam.scales().tolist() == [1.0, 2.0]
         for arr in (fam.centers(), fam.scales()):
             assert arr.dtype == float and not arr.flags.writeable
-        assert fam.placements == (Placement((0, 0), 1.0), Placement((1, 2), 2.0))
+        members = [Placement(tuple(c), s) for c, s in zip(fam.centers().tolist(), fam.scales())]
+        assert members == [Placement((0, 0), 1), Placement((1, 2), 2)]
         assert len(fam) == 2 and not fam.is_translate_family
 
     def test_empty_family(self, unit_square):

@@ -14,6 +14,7 @@ from convex_chroma.geometry import (
     ConsistencyError,
     ConvexBody,
     GeometryError,
+    Placement,
     homothets_intersect,
     pair_margin,
     pairwise_adjacency,
@@ -277,13 +278,12 @@ class TestPoset:
         nf = normalize(fam)
         poset = one_class(nf, build_graph(fam))
         relation = relation_of(poset)
+        members = [Placement(c) for c in centers]
         for a in range(4):
             for b in range(4):
                 if a == b:
                     continue
-                disjoint = not homothets_intersect(
-                    unit_square, fam.placements[a], fam.placements[b]
-                )
+                disjoint = not homothets_intersect(unit_square, members[a], members[b])
                 expected = disjoint and nf.refs[a, 1] < nf.refs[b, 1]
                 assert relation[a, b] == expected
                 assert bool(poset.pred[b] >> a & 1) == expected
@@ -319,12 +319,13 @@ class TestPoset:
         fam = Family(body, grid.centers(), np.full(len(grid), scale))
         nf = normalize(fam)
         g = build_graph(fam)
+        pl = [Placement(tuple(c), s) for c, s in zip(fam.centers().tolist(), fam.scales())]
         tangent = 0
         for seed in range(8):
             dec = decompose(nf, choose_offsets(nf, seed=seed))
             posets = build_poset(dec, nf, g)
             for key, members in dec.classes().items():
-                tangent += sum(abs(pair_margin(body, fam.placements[a], fam.placements[b])) < 1e-12
+                tangent += sum(abs(pair_margin(body, pl[a], pl[b])) < 1e-12
                                for a in members for b in members if a < b)
                 # the relation as built from one adjacency call per class
                 last = nf.refs[members, 1]
